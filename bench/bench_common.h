@@ -79,6 +79,7 @@ struct BenchDesign {
     ctx.compactor = &compactor;
     ctx.patterns = &atpg.patterns;
     ctx.good = &sim;
+    ctx.graph = &graph;
     ctx.fail_memory_patterns = 0;
     return ctx;
   }

@@ -77,8 +77,8 @@ void run(bool smoke) {
        }},
       {"backtrace", 1,
        [&] {
-         backtrace_candidates(s.design->graph(), s.design->context(),
-                              next_log());
+         backtrace_with_support(s.design->graph(), s.design->context(),
+                                next_log());
        }},
       {"subgraph_extraction", 1,
        [&] { subgraph_for_log(*s.design, next_log()); }},

@@ -73,6 +73,7 @@ DesignContext Design::context() const {
   ctx.compactor = &compactor_;
   ctx.patterns = &atpg_.patterns;
   ctx.good = good_.get();
+  ctx.graph = &graph_;
   ctx.fail_memory_patterns = fail_memory_patterns_;
   return ctx;
 }

@@ -11,9 +11,10 @@ void LabeledDataset::append(LabeledDataset&& other) {
 }
 
 Subgraph subgraph_for_log(const Design& design, const FailureLog& log) {
-  const std::vector<NodeId> nodes =
-      backtrace_candidates(design.graph(), design.context(), log);
-  return extract_subgraph(design.graph(), nodes);
+  return extract_subgraph(
+      design.graph(),
+      backtrace_with_support(design.graph(), design.context(), log)
+          .candidates);
 }
 
 LabeledDataset build_dataset(const Design& design,

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <unordered_set>
 
+#include "graph/backtrace.h"
+#include "graph/hetero_graph.h"
 #include "sim/fault_sim.h"
 #include "sta/collapse.h"
 #include "util/thinning.h"
@@ -64,78 +67,33 @@ std::int32_t sorted_overlap(const std::vector<T>& a, const std::vector<T>& b) {
   return overlap;
 }
 
-// One erroneous tester response to back-trace: the failing pattern plus the
-// observation-anchor nets (several when compaction aliases chains).
-struct Response {
-  std::int32_t pattern = 0;
-  std::vector<NetId> anchors;
-};
-
-std::vector<Response> collect_responses(const DesignContext& design,
-                                        const FailureLog& log) {
-  const Netlist& nl = *design.netlist;
-  std::vector<Response> responses;
-  for (const Observation& o : log.scan_fails) {
-    responses.push_back(Response{
-        o.pattern,
-        {nl.gate(nl.flops()[static_cast<std::size_t>(o.index)]).fanin[0]}});
-  }
-  for (const ChannelFail& c : log.channel_fails) {
-    Response r;
-    r.pattern = c.pattern;
-    for (std::int32_t flop :
-         design.compactor->cells_at(*design.scan, c.channel, c.position)) {
-      r.anchors.push_back(
-          nl.gate(nl.flops()[static_cast<std::size_t>(flop)]).fanin[0]);
-    }
-    responses.push_back(std::move(r));
-  }
-  for (const Observation& o : log.po_fails) {
-    responses.push_back(Response{
-        o.pattern,
-        {nl.gate(nl.primary_outputs()[static_cast<std::size_t>(o.index)])
-             .fanin[0]}});
-  }
-  return responses;
-}
-
-// Back-cone suspect extraction.  For each response, the suspect set is the
-// union over anchors of the nets in the anchor's combinational back-cone
-// that transition under the failing pattern.  Returns, per net, in how many
+// Suspect-net extraction.  For each response, the suspect set is the set of
+// nets of the nodes in its observation points' cones (the graph's cone
+// index; the union over the aliased cells of a compacted response) that
+// transition under the failing pattern.  Returns, per net, in how many
 // responses it was suspect.  Static (stuck-at) defects are activated by a
 // wrong *level* rather than a missed transition, so when the flow also hunts
 // static candidates the transition requirement is dropped.
-std::vector<std::int32_t> count_suspects(const DesignContext& design,
-                                         const std::vector<Response>& traced,
-                                         bool require_transition) {
-  const Netlist& nl = *design.netlist;
+std::vector<std::int32_t> suspect_net_counts(
+    const DesignContext& design, std::span<const FailingResponse> traced,
+    bool require_transition) {
+  const HeteroGraph& graph = *design.graph;
   const LocSimulator& good = *design.good;
-  std::vector<std::int32_t> count(static_cast<std::size_t>(nl.num_nets()), 0);
-  std::vector<std::uint32_t> seen(static_cast<std::size_t>(nl.num_nets()), 0);
+  const auto num_nets = static_cast<std::size_t>(design.netlist->num_nets());
+  std::vector<std::int32_t> count(num_nets, 0);
+  std::vector<std::uint32_t> seen(num_nets, 0);
   std::uint32_t stamp = 0;
-  std::vector<NetId> stack;
-
-  for (const Response& r : traced) {
+  for (const FailingResponse& r : traced) {
     ++stamp;
-    for (NetId anchor : r.anchors) {
-      if (seen[static_cast<std::size_t>(anchor)] != stamp) {
-        seen[static_cast<std::size_t>(anchor)] = stamp;
-        stack.push_back(anchor);
-      }
-    }
-    while (!stack.empty()) {
-      const NetId n = stack.back();
-      stack.pop_back();
-      if (!require_transition || good.has_transition(n, r.pattern)) {
-        ++count[static_cast<std::size_t>(n)];
-      }
-      const GateId driver = nl.net(n).driver;
-      const Gate& dg = nl.gate(driver);
-      if (!is_combinational(dg.type)) continue;
-      for (NetId in : dg.fanin) {
-        if (seen[static_cast<std::size_t>(in)] != stamp) {
-          seen[static_cast<std::size_t>(in)] = stamp;
-          stack.push_back(in);
+    for (std::int32_t obs : r.observation_points) {
+      for (NodeId u : graph.cone(obs)) {
+        const NetId n = graph.node_net(u);
+        if (n == kNullNet || seen[static_cast<std::size_t>(n)] == stamp) {
+          continue;
+        }
+        seen[static_cast<std::size_t>(n)] = stamp;
+        if (!require_transition || good.has_transition(n, r.pattern)) {
+          ++count[static_cast<std::size_t>(n)];
         }
       }
     }
@@ -218,14 +176,14 @@ std::vector<Fault> enumerate_candidates(const DesignContext& design,
 DiagnosisReport diagnose_cover(const DesignContext& design,
                                const FailureLog& log,
                                const DiagnosisOptions& options,
-                               const std::vector<Response>& responses,
+                               const std::vector<FailingResponse>& responses,
                                ObservationCache& obs_cache) {
   const Netlist& nl = *design.netlist;
   FaultSimulator fsim(nl, *design.good, design.mivs);
   const XorCompactor* compactor = log.compacted ? design.compactor : nullptr;
 
   DiagnosisReport report;
-  std::vector<Response> remaining = responses;
+  std::vector<FailingResponse> remaining = responses;
   for (int round = 0; round < 24 && !remaining.empty(); ++round) {
     // Anchor on ONE response (earliest pattern): whatever else is failing,
     // the culprit of this response transitions at its pattern and lies in
@@ -240,17 +198,19 @@ DiagnosisReport diagnose_cover(const DesignContext& design,
       }
     }
     const std::int32_t anchor = remaining[anchor_idx].pattern;
-    const std::vector<Response> cluster = {remaining[anchor_idx]};
 
-    const std::vector<std::int32_t> count = count_suspects(
-        design, cluster, !options.include_stuck_at_candidates);
+    const std::vector<std::int32_t> count = suspect_net_counts(
+        design, {&remaining[anchor_idx], 1},
+        !options.include_stuck_at_candidates);
     std::vector<NetId> suspects;
     for (NetId n = 0; n < nl.num_nets(); ++n) {
       if (count[static_cast<std::size_t>(n)] > 0) suspects.push_back(n);
     }
 
     std::vector<std::int32_t> observed;
-    for (const Response& r : remaining) observed.push_back(r.pattern);
+    for (const FailingResponse& r : remaining) {
+      observed.push_back(r.pattern);
+    }
     std::sort(observed.begin(), observed.end());
     observed.erase(std::unique(observed.begin(), observed.end()),
                    observed.end());
@@ -323,7 +283,7 @@ DiagnosisReport diagnose_cover(const DesignContext& design,
     // response whose pattern the round's best explanation covers.
     std::vector<std::int32_t> explained;
     if (!scored.empty()) explained = scored.front().predicted;
-    std::vector<Response> next;
+    std::vector<FailingResponse> next;
     for (std::size_t i = 0; i < remaining.size(); ++i) {
       if (i == anchor_idx) continue;
       if (!std::binary_search(explained.begin(), explained.end(),
@@ -344,6 +304,8 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
   M3DFL_REQUIRE(design.netlist != nullptr && design.good != nullptr &&
                     design.mivs != nullptr && design.scan != nullptr,
                 "incomplete design context");
+  M3DFL_REQUIRE(design.graph != nullptr,
+                "design context has no graph: build it with Design::context()");
   M3DFL_REQUIRE(!log.compacted || design.compactor != nullptr,
                 "compacted log requires a compactor in the context");
   DiagnosisReport report;
@@ -352,10 +314,11 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
   ObservationCache obs_cache(nl, options.collapse_equivalent_candidates);
 
   // ---- Effect-cause: suspect nets -----------------------------------------
-  std::vector<Response> responses = collect_responses(design, log);
+  std::vector<FailingResponse> responses =
+      collect_failing_responses(design, log);
   thin_uniform_stride(responses, options.max_traced_responses);
   const auto n_traced = static_cast<std::int32_t>(responses.size());
-  const std::vector<std::int32_t> count = count_suspects(
+  const std::vector<std::int32_t> count = suspect_net_counts(
       design, responses, !options.include_stuck_at_candidates);
 
   std::vector<NetId> suspects;

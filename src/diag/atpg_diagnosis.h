@@ -3,9 +3,11 @@
 // The stand-in for the commercial fault-diagnosis tool the paper
 // post-processes (DESIGN.md §2): a classic effect-cause + cause-effect flow.
 //
-//  1. Effect-cause: for every erroneous tester response, trace back from the
-//     failing observation point(s) through the combinational cone, keeping
-//     nets that transition under the failing pattern; intersect the per-
+//  1. Effect-cause: for every erroneous tester response, take the nets of
+//     the failing observation points' fan-in cones — read from the design
+//     graph's cone index (HeteroGraph::cone, via DesignContext::graph), the
+//     same cones and response collector the back-trace uses — keeping nets
+//     that transition under the failing pattern; intersect the per-
 //     response suspect sets.  When the intersection dies (multi-fault dies),
 //     the engine switches to iterative covering: diagnose the strongest
 //     remaining fault, subtract the responses it explains, repeat.
@@ -96,7 +98,8 @@ struct DiagnosisOptions {
   bool collapse_equivalent_candidates = false;
 };
 
-// Runs the full diagnosis flow on one failure log.
+// Runs the full diagnosis flow on one failure log.  `design.graph` must be
+// set (Design::context() sets it).
 DiagnosisReport diagnose_atpg(const DesignContext& design,
                               const FailureLog& log,
                               const DiagnosisOptions& options = {});

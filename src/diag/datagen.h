@@ -22,6 +22,8 @@
 
 namespace m3dfl {
 
+class HeteroGraph;
+
 // Non-owning view over one fully prepared design (netlist + M3D structure +
 // DfT + patterns + good-machine results).  Owned by core::Design; every
 // diagnosis-layer function operates through this view.
@@ -33,6 +35,8 @@ struct DesignContext {
   const XorCompactor* compactor = nullptr;  // used only in compacted mode
   const PatternSet* patterns = nullptr;
   const LocSimulator* good = nullptr;       // run over *patterns
+  // Diagnosis graph of the netlist; its cone index drives every back-trace.
+  const HeteroGraph* graph = nullptr;
   // Tester fail-memory depth for this design's test program (failing
   // patterns per die; 0 = unlimited).
   std::int32_t fail_memory_patterns = 0;

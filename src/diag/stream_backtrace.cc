@@ -32,73 +32,13 @@ void intersect_sorted(std::vector<NodeId>& a, const std::vector<NodeId>& b) {
 StreamingBacktrace::StreamingBacktrace(const HeteroGraph& graph,
                                        const DesignContext& design,
                                        StreamingOptions options)
-    : graph_(&graph), design_(&design), options_(options) {
-  M3DFL_REQUIRE(design.good != nullptr, "design context missing simulation");
-  seen_.assign(static_cast<std::size_t>(graph.num_nodes()), 0);
+    : graph_(&graph),
+      design_(design),
+      options_(options),
+      filter_(graph, design) {
   // Empty-evidence confidence: nothing supports anything yet.
   snapshot_.confidence =
       calibrate_confidence(0.0, false, 0, -1.0, options_.tp_threshold);
-}
-
-const std::vector<NodeId>& StreamingBacktrace::cone(NodeId topnode) {
-  auto it = cone_cache_.find(topnode);
-  if (it != cone_cache_.end()) return it->second;
-  // Backward DFS over the full fan-in cone, pattern-independent — computed
-  // once per observation point and reused for every later response.
-  std::vector<NodeId> nodes;
-  ++stamp_;
-  seen_[static_cast<std::size_t>(topnode)] = stamp_;
-  stack_.push_back(topnode);
-  while (!stack_.empty()) {
-    const NodeId u = stack_.back();
-    stack_.pop_back();
-    nodes.push_back(u);
-    for (NodeId v : graph_->predecessors(u)) {
-      if (seen_[static_cast<std::size_t>(v)] != stamp_) {
-        seen_[static_cast<std::size_t>(v)] = stamp_;
-        stack_.push_back(v);
-      }
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-  return cone_cache_.emplace(topnode, std::move(nodes)).first->second;
-}
-
-std::vector<NodeId> StreamingBacktrace::suspects_for(
-    const std::vector<NodeId>& topnodes, std::int32_t pattern) {
-  // Resolve the cones first: cone() uses the shared stamp scratch, so the
-  // union pass below needs all of them materialized before taking a stamp
-  // of its own.  (unordered_map never moves elements, so the references
-  // stay valid across later insertions.)
-  std::vector<const std::vector<NodeId>*> cones;
-  cones.reserve(topnodes.size());
-  for (NodeId t : topnodes) cones.push_back(&cone(t));
-
-  const LocSimulator& good = *design_->good;
-  std::vector<NodeId> suspects;
-  if (cones.size() == 1) {
-    // Single cone is already sorted and duplicate-free.
-    for (NodeId u : *cones[0]) {
-      const NetId net = graph_->node_net(u);
-      if (net != kNullNet && good.has_transition(net, pattern)) {
-        suspects.push_back(u);
-      }
-    }
-    return suspects;
-  }
-  ++stamp_;
-  for (const std::vector<NodeId>* c : cones) {
-    for (NodeId u : *c) {
-      if (seen_[static_cast<std::size_t>(u)] == stamp_) continue;
-      seen_[static_cast<std::size_t>(u)] = stamp_;
-      const NetId net = graph_->node_net(u);
-      if (net != kNullNet && good.has_transition(net, pattern)) {
-        suspects.push_back(u);
-      }
-    }
-  }
-  std::sort(suspects.begin(), suspects.end());
-  return suspects;
 }
 
 StreamAccept StreamingBacktrace::add(const StreamRecord& record) {
@@ -119,40 +59,44 @@ StreamAccept StreamingBacktrace::add(const StreamRecord& record) {
       const Observation& o = record.observation;
       M3DFL_REQUIRE(!log_.compacted,
                     "failure log: scan records in compacted mode");
+      M3DFL_REQUIRE(o.index >= 0 && o.index < graph_->num_flops(),
+                    "failure log: scan flop index out of range");
       if (!seen_scan_.emplace(o.pattern, o.index).second) {
         return StreamAccept::kDuplicate;
       }
+      scan_suspects_.push_back(filter_.suspects({&o.index, 1}, o.pattern));
       log_.scan_fails.push_back(o);
-      scan_suspects_.push_back(
-          suspects_for({graph_->topnode_of_flop(o.index)}, o.pattern));
       update(scan_suspects_.back());
       return StreamAccept::kAccepted;
     }
     case StreamRecord::Kind::kChan: {
       const ChannelFail& c = record.channel;
-      M3DFL_REQUIRE(design_->compactor != nullptr,
+      M3DFL_REQUIRE(design_.compactor != nullptr,
                     "compacted log requires a compactor");
+      M3DFL_REQUIRE(
+          c.channel >= 0 && c.channel < design_.compactor->num_channels(),
+          "failure log: chan channel out of range");
       if (!seen_chan_.emplace(c.pattern, c.channel, c.position).second) {
         return StreamAccept::kDuplicate;
       }
-      std::vector<NodeId> topnodes;
-      for (std::int32_t flop : design_->compactor->cells_at(
-               *design_->scan, c.channel, c.position)) {
-        topnodes.push_back(graph_->topnode_of_flop(flop));
-      }
+      chan_suspects_.push_back(filter_.suspects(
+          design_.compactor->cells_at(*design_.scan, c.channel, c.position),
+          c.pattern));
       log_.channel_fails.push_back(c);
-      chan_suspects_.push_back(suspects_for(topnodes, c.pattern));
       update(chan_suspects_.back());
       return StreamAccept::kAccepted;
     }
     case StreamRecord::Kind::kPo: {
       const Observation& o = record.observation;
+      M3DFL_REQUIRE(o.index >= 0 &&
+                        o.index < graph_->num_topnodes() - graph_->num_flops(),
+                    "failure log: po index out of range");
       if (!seen_po_.emplace(o.pattern, o.index).second) {
         return StreamAccept::kDuplicate;
       }
+      const std::int32_t obs = graph_->num_flops() + o.index;
+      po_suspects_.push_back(filter_.suspects({&obs, 1}, o.pattern));
       log_.po_fails.push_back(o);
-      po_suspects_.push_back(
-          suspects_for({graph_->topnode_of_po(o.index)}, o.pattern));
       update(po_suspects_.back());
       return StreamAccept::kAccepted;
     }
@@ -160,27 +104,26 @@ StreamAccept StreamingBacktrace::add(const StreamRecord& record) {
   return StreamAccept::kMeta;  // unreachable
 }
 
-std::vector<TracedResponse> StreamingBacktrace::canonical_responses(
+std::vector<TracedResponse> StreamingBacktrace::traced_responses(
     std::vector<RecordKey>* keys) const {
   std::vector<TracedResponse> responses;
   responses.reserve(static_cast<std::size_t>(n_accepted_));
   if (keys != nullptr) keys->reserve(static_cast<std::size_t>(n_accepted_));
   std::int32_t index = 0;
-  for (std::size_t i = 0; i < log_.scan_fails.size(); ++i) {
-    responses.push_back(TracedResponse{log_.scan_fails[i].pattern, index++,
-                                       &scan_suspects_[i]});
-    if (keys != nullptr) keys->push_back(RecordKey{0, i});
-  }
-  for (std::size_t i = 0; i < log_.channel_fails.size(); ++i) {
-    responses.push_back(TracedResponse{log_.channel_fails[i].pattern, index++,
-                                       &chan_suspects_[i]});
-    if (keys != nullptr) keys->push_back(RecordKey{1, i});
-  }
-  for (std::size_t i = 0; i < log_.po_fails.size(); ++i) {
-    responses.push_back(
-        TracedResponse{log_.po_fails[i].pattern, index++, &po_suspects_[i]});
-    if (keys != nullptr) keys->push_back(RecordKey{2, i});
-  }
+  const auto add_kind = [&](int kind, const auto& records,
+                            const std::vector<std::vector<NodeId>>& suspects) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      responses.push_back(
+          TracedResponse{records[i].pattern, index++, &suspects[i]});
+      if (keys != nullptr) keys->push_back(RecordKey{kind, i});
+    }
+  };
+  add_kind(0, log_.scan_fails, scan_suspects_);
+  add_kind(1, log_.channel_fails, chan_suspects_);
+  add_kind(2, log_.po_fails, po_suspects_);
+  const std::int32_t cap = options_.backtrace.max_traced_responses;
+  thin_uniform_stride(responses, cap);
+  if (keys != nullptr) thin_uniform_stride(*keys, cap);
   return responses;
 }
 
@@ -212,18 +155,12 @@ void StreamingBacktrace::update(const std::vector<NodeId>& added_suspects) {
     result.support.assign(intersection_.size(), 1.0);
   } else {
     std::vector<RecordKey> keys;
-    std::vector<TracedResponse> all = canonical_responses(&keys);
-    const std::vector<std::size_t> kept = uniform_stride_indices(
-        all.size(), options_.backtrace.max_traced_responses);
-    std::vector<TracedResponse> thinned;
-    thinned.reserve(kept.size());
-    for (std::size_t i : kept) thinned.push_back(all[i]);
     std::vector<std::size_t> quarantined_positions;
     result = select_backtrace_candidates(
-        thinned, static_cast<std::size_t>(graph_->num_nodes()),
+        traced_responses(&keys), static_cast<std::size_t>(graph_->num_nodes()),
         options_.backtrace, &quarantined_positions);
     for (std::size_t p : quarantined_positions) {
-      now_quarantined.insert(keys[kept[p]]);
+      now_quarantined.insert(keys[p]);
     }
   }
 
@@ -260,15 +197,9 @@ void StreamingBacktrace::update(const std::vector<NodeId>& added_suspects) {
 }
 
 BacktraceResult StreamingBacktrace::finalize() const {
-  std::vector<TracedResponse> all = canonical_responses(nullptr);
-  const std::vector<std::size_t> kept = uniform_stride_indices(
-      all.size(), options_.backtrace.max_traced_responses);
-  std::vector<TracedResponse> thinned;
-  thinned.reserve(kept.size());
-  for (std::size_t i : kept) thinned.push_back(all[i]);
   return select_backtrace_candidates(
-      thinned, static_cast<std::size_t>(graph_->num_nodes()),
-      options_.backtrace);
+      traced_responses(nullptr),
+      static_cast<std::size_t>(graph_->num_nodes()), options_.backtrace);
 }
 
 }  // namespace m3dfl

@@ -6,10 +6,11 @@
 // maintains the same intersection / support / quarantine state
 // response-by-response:
 //
-//  * Per-observation-point fan-in cones are computed once and cached
-//    (pattern-independent); each arriving response's suspect set is the
-//    union of its Topnode cones filtered by the failing pattern's
-//    transitions — provably the same set the batch DFS extracts.
+//  * Each arriving response's suspect set comes from the same
+//    SuspectFilter the batch path uses (graph/backtrace.h): the union of its
+//    observation points' cones, read from the graph's cone index and
+//    filtered by the failing pattern's transitions — the same set the batch
+//    path extracts, by construction.
 //  * While the strict intersection across all accepted responses is
 //    non-empty (the clean-feed fast path), each response only narrows it —
 //    monotone set intersection, no recount — and the snapshot is exactly
@@ -38,7 +39,6 @@
 #include <cstdint>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -98,13 +98,16 @@ struct StreamSnapshot {
 class StreamingBacktrace {
  public:
   // `design.good` must be non-null; `design.compactor` is required only once
-  // a chan record arrives.  The graph and context must outlive the session.
+  // a chan record arrives.  The context is copied (callers may pass a
+  // temporary view); the graph and the objects the context points at must
+  // outlive the session.
   StreamingBacktrace(const HeteroGraph& graph, const DesignContext& design,
                      StreamingOptions options = {});
 
   // Feeds one parsed record.  Throws m3dfl::Error on semantic violations
-  // (scan record in compacted mode, chan record without a compactor) —
-  // the same conditions the batch reader rejects.
+  // (scan record in compacted mode, chan record without a compactor — the
+  // same conditions the batch reader rejects — or an observation point the
+  // design does not have), before any state changes.
   StreamAccept add(const StreamRecord& record);
 
   // State after the most recent accepted response.
@@ -126,17 +129,15 @@ class StreamingBacktrace {
   // quarantine churn is tracked under these keys instead.
   using RecordKey = std::pair<int, std::size_t>;
 
-  const std::vector<NodeId>& cone(NodeId topnode);
-  std::vector<NodeId> suspects_for(const std::vector<NodeId>& topnodes,
-                                   std::int32_t pattern);
-  // Assembles all accepted responses in canonical log order; fills
-  // `keys[i]` with the stable identity of response i.
-  std::vector<TracedResponse> canonical_responses(
+  // All accepted responses in canonical log order, thinned exactly as the
+  // batch path thins them; fills `keys[i]` with the stable identity of
+  // response i.
+  std::vector<TracedResponse> traced_responses(
       std::vector<RecordKey>* keys) const;
   void update(const std::vector<NodeId>& added_suspects);
 
   const HeteroGraph* graph_;
-  const DesignContext* design_;
+  DesignContext design_;
   StreamingOptions options_;
 
   FailureLog log_;
@@ -145,12 +146,7 @@ class StreamingBacktrace {
   std::vector<std::vector<NodeId>> chan_suspects_;
   std::vector<std::vector<NodeId>> po_suspects_;
 
-  // Pattern-independent fan-in cone per Topnode, sorted ascending.
-  std::unordered_map<NodeId, std::vector<NodeId>> cone_cache_;
-  // Stamped-visited scratch for cone walks (cleared in O(1) per walk).
-  std::vector<std::uint32_t> seen_;
-  std::uint32_t stamp_ = 0;
-  std::vector<NodeId> stack_;
+  SuspectFilter filter_;
 
   // Duplicate rejection against the accumulated state (same policy the
   // batch reader applies over the whole log).

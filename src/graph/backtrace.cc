@@ -8,80 +8,6 @@
 namespace m3dfl {
 namespace {
 
-struct TopResponse {
-  std::int32_t pattern = 0;
-  // Position in log order (scan_fails, channel_fails, po_fails) before any
-  // thinning; cited by quarantine reports.
-  std::int32_t response_index = 0;
-  std::vector<NodeId> topnodes;
-};
-
-std::vector<TopResponse> collect(const HeteroGraph& graph,
-                                 const DesignContext& design,
-                                 const FailureLog& log) {
-  std::vector<TopResponse> responses;
-  std::int32_t index = 0;
-  for (const Observation& o : log.scan_fails) {
-    responses.push_back(
-        TopResponse{o.pattern, index++, {graph.topnode_of_flop(o.index)}});
-  }
-  for (const ChannelFail& c : log.channel_fails) {
-    TopResponse r;
-    r.pattern = c.pattern;
-    r.response_index = index++;
-    for (std::int32_t flop :
-         design.compactor->cells_at(*design.scan, c.channel, c.position)) {
-      r.topnodes.push_back(graph.topnode_of_flop(flop));
-    }
-    responses.push_back(std::move(r));
-  }
-  for (const Observation& o : log.po_fails) {
-    responses.push_back(
-        TopResponse{o.pattern, index++, {graph.topnode_of_po(o.index)}});
-  }
-  return responses;
-}
-
-// Scratch for the per-response cone walks (stamped visited marks, so the
-// arrays are cleared in O(1) between responses).
-struct TraceScratch {
-  std::vector<std::uint32_t> seen;
-  std::uint32_t stamp = 0;
-  std::vector<NodeId> stack;
-};
-
-// Suspect set of one response: the union over its failing Topnodes of the
-// fan-in-cone nodes that transition under the failing pattern (lines 2-12 of
-// the paper's pseudocode).  Sorted ascending.
-std::vector<NodeId> suspect_set(const HeteroGraph& graph,
-                                const LocSimulator& good,
-                                const TopResponse& r, TraceScratch& scratch) {
-  std::vector<NodeId> suspects;
-  ++scratch.stamp;
-  for (NodeId t : r.topnodes) {
-    if (scratch.seen[static_cast<std::size_t>(t)] != scratch.stamp) {
-      scratch.seen[static_cast<std::size_t>(t)] = scratch.stamp;
-      scratch.stack.push_back(t);
-    }
-  }
-  while (!scratch.stack.empty()) {
-    const NodeId u = scratch.stack.back();
-    scratch.stack.pop_back();
-    const NetId net = graph.node_net(u);
-    if (net != kNullNet && good.has_transition(net, r.pattern)) {
-      suspects.push_back(u);
-    }
-    for (NodeId v : graph.predecessors(u)) {
-      if (scratch.seen[static_cast<std::size_t>(v)] != scratch.stamp) {
-        scratch.seen[static_cast<std::size_t>(v)] = scratch.stamp;
-        scratch.stack.push_back(v);
-      }
-    }
-  }
-  std::sort(suspects.begin(), suspects.end());
-  return suspects;
-}
-
 // In how many of the `kept` suspect sets each node appears.
 std::vector<std::int32_t> count_support(
     std::span<const TracedResponse> responses,
@@ -148,6 +74,56 @@ void select_candidates(const std::vector<std::int32_t>& count,
 }
 
 }  // namespace
+
+std::vector<FailingResponse> collect_failing_responses(
+    const DesignContext& design, const FailureLog& log) {
+  const auto num_flops =
+      static_cast<std::int32_t>(design.netlist->flops().size());
+  std::vector<FailingResponse> responses;
+  std::int32_t index = 0;
+  for (const Observation& o : log.scan_fails) {
+    responses.push_back(FailingResponse{o.pattern, index++, {o.index}});
+  }
+  for (const ChannelFail& c : log.channel_fails) {
+    responses.push_back(FailingResponse{
+        c.pattern, index++,
+        design.compactor->cells_at(*design.scan, c.channel, c.position)});
+  }
+  for (const Observation& o : log.po_fails) {
+    responses.push_back(
+        FailingResponse{o.pattern, index++, {num_flops + o.index}});
+  }
+  return responses;
+}
+
+SuspectFilter::SuspectFilter(const HeteroGraph& graph,
+                             const DesignContext& design)
+    : graph_(&graph),
+      good_(design.good),
+      seen_(static_cast<std::size_t>(graph.num_nodes()), 0) {
+  M3DFL_REQUIRE(good_ != nullptr, "design context missing simulation");
+}
+
+std::vector<NodeId> SuspectFilter::suspects(
+    std::span<const std::int32_t> observation_points, std::int32_t pattern) {
+  std::vector<NodeId> suspects;
+  ++stamp_;
+  for (std::int32_t obs : observation_points) {
+    for (NodeId u : graph_->cone(obs)) {
+      if (seen_[static_cast<std::size_t>(u)] == stamp_) continue;
+      seen_[static_cast<std::size_t>(u)] = stamp_;
+      const NetId net = graph_->node_net(u);
+      if (net != kNullNet && good_->has_transition(net, pattern)) {
+        suspects.push_back(u);
+      }
+    }
+  }
+  // One cone is already sorted; a union of several is not.
+  if (observation_points.size() > 1) {
+    std::sort(suspects.begin(), suspects.end());
+  }
+  return suspects;
+}
 
 double BacktraceResult::min_support() const {
   if (support.empty()) return 0.0;
@@ -239,32 +215,22 @@ BacktraceResult backtrace_with_support(const HeteroGraph& graph,
   BacktraceResult result;
   if (log.empty()) return result;
 
-  std::vector<TopResponse> responses = collect(graph, design, log);
+  std::vector<FailingResponse> responses =
+      collect_failing_responses(design, log);
   thin_uniform_stride(responses, options.max_traced_responses);
 
-  TraceScratch scratch;
-  scratch.seen.assign(static_cast<std::size_t>(graph.num_nodes()), 0);
+  SuspectFilter filter(graph, design);
   std::vector<std::vector<NodeId>> suspects;
-  suspects.reserve(responses.size());
-  for (const TopResponse& r : responses) {
-    suspects.push_back(suspect_set(graph, *design.good, r, scratch));
-  }
+  suspects.reserve(responses.size());  // never reallocates: `traced` points in
   std::vector<TracedResponse> traced;
   traced.reserve(responses.size());
-  for (std::size_t r = 0; r < responses.size(); ++r) {
-    traced.push_back(TracedResponse{responses[r].pattern,
-                                    responses[r].response_index,
-                                    &suspects[r]});
+  for (const FailingResponse& r : responses) {
+    suspects.push_back(filter.suspects(r.observation_points, r.pattern));
+    traced.push_back(
+        TracedResponse{r.pattern, r.response_index, &suspects.back()});
   }
   return select_backtrace_candidates(
       traced, static_cast<std::size_t>(graph.num_nodes()), options);
-}
-
-std::vector<NodeId> backtrace_candidates(const HeteroGraph& graph,
-                                         const DesignContext& design,
-                                         const FailureLog& log,
-                                         const BacktraceOptions& options) {
-  return backtrace_with_support(graph, design, log, options).candidates;
 }
 
 }  // namespace m3dfl

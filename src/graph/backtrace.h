@@ -1,9 +1,13 @@
 // Back-tracing (paper Fig. 3), hardened against semantically noisy logs.
 //
-// For every erroneous tester response, the fan-in cone of the transitioning
-// Topnode(s) is traversed and nodes that transition under the failing
-// pattern form the response's suspect set; the intersection across all
-// responses is the candidate list handed to the GNN models as a subgraph.
+// For every erroneous tester response, the nodes of the failing Topnode's
+// fan-in cone that transition under the failing pattern form the response's
+// suspect set; the intersection across all responses is the candidate list
+// handed to the GNN models as a subgraph.  The cones are not walked here:
+// the graph's top level already holds them (HeteroGraph::cone).  The
+// suspect filter below reads that index for the batch and streaming
+// (diag/stream_backtrace.h) paths, and the response collector below also
+// feeds the ATPG engine's suspect nets (diag/atpg_diagnosis.h).
 //
 // Compacted logs yield several Topnodes per response (the aliased cells of
 // the XOR channel), whose suspect sets are unioned — the paper's
@@ -92,6 +96,44 @@ struct BacktraceResult {
   bool noisy() const { return relaxed || !quarantined.empty(); }
 };
 
+// One erroneous tester response: its failing pattern, its position in
+// canonical log order (scan_fails, then channel_fails, then po_fails) before
+// any thinning, and the observation points it failed at — indices into
+// HeteroGraph::topnodes().  A compacted channel bit fails at every scan cell
+// the compactor aliases onto it (the paper's FailedTopnode(r) set).
+struct FailingResponse {
+  std::int32_t pattern = 0;
+  std::int32_t response_index = 0;
+  std::vector<std::int32_t> observation_points;
+};
+
+// The responses of `log` in canonical order — the single collector behind
+// the batch back-trace and the ATPG engine's suspect pass (the streaming
+// back-trace collects the same responses record by record).
+std::vector<FailingResponse> collect_failing_responses(
+    const DesignContext& design, const FailureLog& log);
+
+// Suspect set of one response (lines 2-12 of the paper's pseudocode): the
+// union of the indexed cones (HeteroGraph::cone) of its observation points,
+// keeping the nodes whose net transitions under the failing pattern.  The
+// filter keeps stamped visited marks for the union, so one instance serves
+// any number of responses.
+class SuspectFilter {
+ public:
+  // `design.good` must be non-null.
+  SuspectFilter(const HeteroGraph& graph, const DesignContext& design);
+
+  // Sorted ascending.
+  std::vector<NodeId> suspects(
+      std::span<const std::int32_t> observation_points, std::int32_t pattern);
+
+ private:
+  const HeteroGraph* graph_;
+  const LocSimulator* good_;
+  std::vector<std::uint32_t> seen_;
+  std::uint32_t stamp_ = 0;
+};
+
 // One traced response after thinning: its failing pattern, its pre-thinning
 // position in canonical log order (scan_fails, then channel_fails, then
 // po_fails — cited by quarantine reports), and a view of its suspect set.
@@ -119,13 +161,6 @@ BacktraceResult backtrace_with_support(const HeteroGraph& graph,
                                        const DesignContext& design,
                                        const FailureLog& log,
                                        const BacktraceOptions& options = {});
-
-// Candidate nodes only (the historical interface; same candidate list as
-// backtrace_with_support).
-std::vector<NodeId> backtrace_candidates(const HeteroGraph& graph,
-                                         const DesignContext& design,
-                                         const FailureLog& log,
-                                         const BacktraceOptions& options = {});
 
 }  // namespace m3dfl
 

@@ -115,10 +115,6 @@ void HeteroGraph::build_attributes(const Netlist& nl,
   }
 }
 
-NodeId HeteroGraph::topnode_of_po(std::int32_t po_index) const {
-  return topnodes_[static_cast<std::size_t>(num_flops_ + po_index)];
-}
-
 void HeteroGraph::build_top_level(const Netlist& nl) {
   // Observation anchors: flop D pins (flop-index order), then PO pins.
   topnodes_.clear();
@@ -133,20 +129,20 @@ void HeteroGraph::build_top_level(const Netlist& nl) {
   std::vector<double> sum_m(n_nodes, 0.0), sumsq_m(n_nodes, 0.0);
 
   // One BFS per Topnode over the predecessor relation.  BFS layers give the
-  // shortest Topedge distance; MIV counts follow the discovery path.
+  // shortest Topedge distance; MIV counts follow the discovery path.  The
+  // BFS queue is the Topnode's slice of the cone index: once the BFS ends it
+  // holds the whole cone, which is then sorted in place.
   std::vector<std::int32_t> dist(n_nodes, -1);
   std::vector<std::int32_t> mivs_on_path(n_nodes, 0);
-  std::vector<NodeId> bfs_queue;
-  std::vector<NodeId> touched;
+  cone_off_.assign(1, 0);
+  cone_nodes_.clear();
   for (NodeId top : topnodes_) {
-    bfs_queue.clear();
-    touched.clear();
+    const std::size_t begin = cone_nodes_.size();
     dist[static_cast<std::size_t>(top)] = 0;
     mivs_on_path[static_cast<std::size_t>(top)] = 0;
-    bfs_queue.push_back(top);
-    touched.push_back(top);
-    for (std::size_t head = 0; head < bfs_queue.size(); ++head) {
-      const NodeId u = bfs_queue[head];
+    cone_nodes_.push_back(top);
+    for (std::size_t head = begin; head < cone_nodes_.size(); ++head) {
+      const NodeId u = cone_nodes_[head];
       const auto ui = static_cast<std::size_t>(u);
       if (u != top) {
         cnt[ui] += 1;
@@ -163,12 +159,18 @@ void HeteroGraph::build_top_level(const Netlist& nl) {
         dist[vi] = dist[ui] + 1;
         mivs_on_path[vi] =
             mivs_on_path[ui] + (is_miv_node(v) ? 1 : 0);
-        bfs_queue.push_back(v);
-        touched.push_back(v);
+        cone_nodes_.push_back(v);
       }
     }
-    for (NodeId t : touched) dist[static_cast<std::size_t>(t)] = -1;
+    const auto cone_begin =
+        cone_nodes_.begin() + static_cast<std::ptrdiff_t>(begin);
+    for (auto it = cone_begin; it != cone_nodes_.end(); ++it) {
+      dist[static_cast<std::size_t>(*it)] = -1;
+    }
+    std::sort(cone_begin, cone_nodes_.end());
+    cone_off_.push_back(cone_nodes_.size());
   }
+  cone_nodes_.shrink_to_fit();
 
   n_top_.assign(n_nodes, 0);
   dist_mean_.assign(n_nodes, 0.0f);

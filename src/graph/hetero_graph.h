@@ -8,12 +8,15 @@
 // relation is exactly the combinational structure.
 //
 // Top level: one Topnode per observation point (each scan-flop D pin and
-// each PO pin) with Topedges to every node in its fan-in cone.  Topedges are
-// never materialized; one backward BFS per Topnode computes, for every cone
-// node, the shortest distance and the number of MIV nodes along that path,
-// and these are folded into per-node running aggregates (count / mean / std)
-// — the numerical encoding of the top level the paper feeds to the GNN
-// (Table II).  Build complexity is O(#Topnodes * (V + E)); it runs once per
+// each PO pin) with Topedges to every node in its fan-in cone.  One backward
+// BFS per Topnode computes, for every cone node, the shortest distance and
+// the number of MIV nodes along that path, and these are folded into
+// per-node running aggregates (count / mean / std) — the numerical encoding
+// of the top level the paper feeds to the GNN (Table II).  The same BFS
+// keeps each cone: the Topedges are stored as one CSR of sorted node ids
+// per observation point, the cone index every back-trace reads (Fig. 3).
+// Its memory cost is the sum of the cone sizes (sum of n_top() plus one per
+// Topnode).  Build complexity is O(#Topnodes * (V + E)); it runs once per
 // design and is reused for every failure log (the amortization argument of
 // Sec. III-A).
 #ifndef M3DFL_GRAPH_HETERO_GRAPH_H_
@@ -103,10 +106,14 @@ class HeteroGraph {
   }
   // Topnode anchors: D pins of all flops (by flop index), then PO pins.
   const std::vector<NodeId>& topnodes() const { return topnodes_; }
-  NodeId topnode_of_flop(std::int32_t flop_index) const {
-    return topnodes_[static_cast<std::size_t>(flop_index)];
+  // Fan-in cone of observation point `obs` (its index in topnodes(): flop
+  // index, then num_flops() + PO index), the Topnode included; sorted
+  // ascending.
+  std::span<const NodeId> cone(std::int32_t obs) const {
+    const auto i = static_cast<std::size_t>(obs);
+    return {cone_nodes_.data() + cone_off_[i],
+            cone_off_[i + 1] - cone_off_[i]};
   }
-  NodeId topnode_of_po(std::int32_t po_index) const;
 
   // Per-node Topedge aggregates (over all Topnodes whose cone contains the
   // node): count, mean/std of the shortest distance, mean/std of the MIV
@@ -151,6 +158,8 @@ class HeteroGraph {
   std::vector<std::uint8_t> near_miv_;
 
   std::vector<NodeId> topnodes_;
+  std::vector<std::size_t> cone_off_;
+  std::vector<NodeId> cone_nodes_;
   std::vector<std::int32_t> n_top_;
   std::vector<float> dist_mean_, dist_std_, miv_mean_, miv_std_;
 };

@@ -1,13 +1,16 @@
 // Uniform-stride response thinning.
 //
-// Both suspect-extraction passes (graph/backtrace.cc and
-// diag/atpg_diagnosis.cc) cap how many failing tester responses they trace:
-// the per-response suspect intersection converges after a handful of
-// responses, so tracing thousands buys nothing but runtime.  The cap keeps a
-// deterministic uniform stride over the original order — early and late
-// patterns both contribute, and the same (size, cap) pair always selects the
-// same responses.  The index computation lived copy-pasted in both callers
-// until PR 5; it is shared here so the two passes can never drift apart.
+// Every suspect extraction — the batch and streaming back-traces
+// (graph/backtrace.cc, diag/stream_backtrace.cc) and the ATPG engine's
+// suspect-net pass (diag/atpg_diagnosis.cc) — caps how many failing tester
+// responses it traces: the per-response suspect intersection converges after
+// a handful of responses, so tracing thousands buys nothing but runtime.
+// Each thins the responses of the one shared collector
+// (collect_failing_responses in graph/backtrace.h, or the stream's
+// canonical-order equivalent) with the same deterministic uniform stride over
+// log order — early and late patterns both contribute, and the same
+// (size, cap) pair always selects the same responses, so the passes can
+// never drift apart.
 #ifndef M3DFL_UTIL_THINNING_H_
 #define M3DFL_UTIL_THINNING_H_
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "diag/atpg_diagnosis.h"
 #include "diag/metrics.h"
 #include "test_helpers.h"
@@ -76,6 +78,21 @@ TEST(DiagnosisTest, EmptyLogYieldsEmptyReport) {
   SmallDesign d(5);
   const DiagnosisReport report = diagnose_atpg(d.context(), FailureLog{});
   EXPECT_TRUE(report.candidates.empty());
+}
+
+TEST(DiagnosisTest, RequiresTheDesignGraph) {
+  SmallDesign d(5);
+  const auto samples = make_samples(d, 1, false);
+  DesignContext ctx = d.context();
+  ctx.graph = nullptr;
+  try {
+    diagnose_atpg(ctx, samples[0].log);
+    FAIL() << "expected m3dfl::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("Design::context()"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DiagnosisTest, RespectsMaxCandidates) {

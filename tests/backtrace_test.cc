@@ -15,10 +15,9 @@ namespace {
 
 struct BacktraceSetup {
   testing::SmallDesign d;
-  HeteroGraph graph;
+  const HeteroGraph& graph;
 
-  explicit BacktraceSetup(std::uint64_t seed = 5)
-      : d(seed), graph(d.netlist, d.tiers, d.mivs) {}
+  explicit BacktraceSetup(std::uint64_t seed = 5) : d(seed), graph(d.graph) {}
 };
 
 class BacktraceModes : public ::testing::TestWithParam<bool> {};
@@ -33,7 +32,7 @@ TEST_P(BacktraceModes, FaultSiteAlwaysAmongCandidates) {
   const auto samples = generate_samples(s.d.context(), opt);
   for (const Sample& sample : samples) {
     const std::vector<NodeId> nodes =
-        backtrace_candidates(s.graph, s.d.context(), sample.log);
+        backtrace_with_support(s.graph, s.d.context(), sample.log).candidates;
     ASSERT_FALSE(nodes.empty());
     // The injected pin is a node id itself (pin nodes == pin ids).
     const NodeId site = sample.faults[0].pin;
@@ -53,7 +52,7 @@ TEST_P(BacktraceModes, MivFaultYieldsMivNodeCandidate) {
   const auto samples = generate_samples(s.d.context(), opt);
   for (const Sample& sample : samples) {
     const std::vector<NodeId> nodes =
-        backtrace_candidates(s.graph, s.d.context(), sample.log);
+        backtrace_with_support(s.graph, s.d.context(), sample.log).candidates;
     const NodeId miv_node = s.graph.miv_node(sample.faulty_mivs[0]);
     EXPECT_TRUE(std::binary_search(nodes.begin(), nodes.end(), miv_node));
   }
@@ -74,7 +73,7 @@ TEST(BacktraceTest, CandidatesTransitionInEveryFailingPattern) {
   const auto samples = generate_samples(s.d.context(), opt);
   for (const Sample& sample : samples) {
     const std::vector<NodeId> nodes =
-        backtrace_candidates(s.graph, s.d.context(), sample.log);
+        backtrace_with_support(s.graph, s.d.context(), sample.log).candidates;
     for (const Observation& o : sample.log.scan_fails) {
       for (NodeId n : nodes) {
         EXPECT_TRUE(
@@ -97,18 +96,20 @@ TEST(BacktraceTest, CompactionCoarsensCandidates) {
   std::size_t bypass_total = 0;
   std::size_t compact_total = 0;
   for (std::size_t i = 0; i < bypass.size(); ++i) {
-    bypass_total +=
-        backtrace_candidates(s.graph, s.d.context(), bypass[i].log).size();
-    compact_total +=
-        backtrace_candidates(s.graph, s.d.context(), compacted[i].log).size();
+    bypass_total += backtrace_with_support(s.graph, s.d.context(),
+                                           bypass[i].log)
+                        .candidates.size();
+    compact_total += backtrace_with_support(s.graph, s.d.context(),
+                                            compacted[i].log)
+                         .candidates.size();
   }
   EXPECT_GE(compact_total, bypass_total);
 }
 
 TEST(BacktraceTest, EmptyLogYieldsNoCandidates) {
   BacktraceSetup s;
-  EXPECT_TRUE(
-      backtrace_candidates(s.graph, s.d.context(), FailureLog{}).empty());
+  EXPECT_TRUE(backtrace_with_support(s.graph, s.d.context(), FailureLog{})
+                  .candidates.empty());
 }
 
 TEST(BacktraceTest, OutputSortedAndUnique) {
@@ -120,7 +121,7 @@ TEST(BacktraceTest, OutputSortedAndUnique) {
   const auto samples = generate_samples(s.d.context(), opt);
   for (const Sample& sample : samples) {
     const std::vector<NodeId> nodes =
-        backtrace_candidates(s.graph, s.d.context(), sample.log);
+        backtrace_with_support(s.graph, s.d.context(), sample.log).candidates;
     EXPECT_TRUE(std::is_sorted(nodes.begin(), nodes.end()));
     EXPECT_TRUE(std::adjacent_find(nodes.begin(), nodes.end()) ==
                 nodes.end());
@@ -135,7 +136,7 @@ std::vector<NodeId> one_response_suspects(const BacktraceSetup& s,
                                           const Observation& o) {
   FailureLog log;
   log.scan_fails = {o};
-  return backtrace_candidates(s.graph, s.d.context(), log);
+  return backtrace_with_support(s.graph, s.d.context(), log).candidates;
 }
 
 bool disjoint_sorted(const std::vector<NodeId>& a,
@@ -178,9 +179,6 @@ TEST(BacktraceSupportTest, StrictIntersectionHasUnitSupportAndNoQuarantine) {
   for (const Sample& sample : samples) {
     const BacktraceResult result =
         backtrace_with_support(s.graph, s.d.context(), sample.log);
-    const std::vector<NodeId> legacy =
-        backtrace_candidates(s.graph, s.d.context(), sample.log);
-    EXPECT_EQ(result.candidates, legacy);
     ASSERT_EQ(result.support.size(), result.candidates.size());
     ASSERT_FALSE(result.relaxed);  // clean single-fault logs stay strict
     EXPECT_TRUE(result.quarantined.empty());
@@ -218,7 +216,7 @@ struct PoisonedLog {
     BacktraceOptions all;
     all.max_traced_responses = 1 << 20;  // no thinning in these tests
     clean_candidates =
-        backtrace_candidates(s.graph, s.d.context(), log, all);
+        backtrace_with_support(s.graph, s.d.context(), log, all).candidates;
     spurious = find_disjoint_observation(s, log, clean_candidates);
     log.scan_fails.push_back(spurious);
   }
@@ -270,7 +268,8 @@ TEST(BacktraceSupportTest, SingleSpuriousResponseIsQuarantinedNotAbsorbed) {
   for (const Sample& sample : samples) {
     const FailureLog& clean_log = sample.log;
     const std::vector<NodeId> clean =
-        backtrace_candidates(s.graph, s.d.context(), clean_log, options);
+        backtrace_with_support(s.graph, s.d.context(), clean_log, options)
+            .candidates;
     const std::set<Observation> used(clean_log.scan_fails.begin(),
                                      clean_log.scan_fails.end());
     for (std::int32_t flop = 0; flop < s.d.scan.num_flops() && !found;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "graph/hetero_graph.h"
 #include "test_helpers.h"
 
@@ -103,8 +107,8 @@ TEST(HeteroGraphTest, TopnodesAreObservationPoints) {
   const Netlist& nl = t.c.netlist;
   // 1 flop + 1 PO.
   EXPECT_EQ(t.graph.num_topnodes(), 2);
-  EXPECT_EQ(t.graph.topnode_of_flop(0), nl.input_pin(t.c.ff0, 0));
-  EXPECT_EQ(t.graph.topnode_of_po(0), nl.input_pin(t.c.po0, 0));
+  EXPECT_EQ(t.graph.topnodes()[0], nl.input_pin(t.c.ff0, 0));
+  EXPECT_EQ(t.graph.topnodes()[1], nl.input_pin(t.c.po0, 0));
 }
 
 TEST(HeteroGraphTest, TopedgeDistancesHandChecked) {
@@ -142,6 +146,47 @@ TEST(HeteroGraphTest, TopedgeMivCountsThroughSplicedNodes) {
   EXPECT_FLOAT_EQ(t.graph.dist_mean(u0_out), 4.0f);   // (3 + 5) / 2
   EXPECT_FLOAT_EQ(t.graph.dist_std(u0_out), 1.0f);
   EXPECT_FLOAT_EQ(t.graph.miv_mean(u0_out), 1.0f);    // (0 + 2) / 2
+}
+
+TEST(HeteroGraphTest, ConeIndexHandChecked) {
+  TinyGraph t;
+  const Netlist& nl = t.c.netlist;
+  const auto sorted = [](std::vector<NodeId> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  const auto cone = [&](std::int32_t obs) {
+    const std::span<const NodeId> c = t.graph.cone(obs);
+    return std::vector<NodeId>(c.begin(), c.end());
+  };
+  // ff0.D: through u1 and u0 back to the PI pads.
+  EXPECT_EQ(cone(0), sorted({nl.input_pin(t.c.ff0, 0), nl.output_pin(t.c.u1),
+                             nl.input_pin(t.c.u1, 0), nl.output_pin(t.c.u0),
+                             nl.input_pin(t.c.u0, 0), nl.input_pin(t.c.u0, 1),
+                             nl.output_pin(t.c.pi0),
+                             nl.output_pin(t.c.pi1)}));
+  // po0: through u2 to u0's cone and the flop's Q pin, never through u1.
+  EXPECT_EQ(cone(1), sorted({nl.input_pin(t.c.po0, 0), nl.output_pin(t.c.u2),
+                             nl.input_pin(t.c.u2, 0), nl.input_pin(t.c.u2, 1),
+                             nl.output_pin(t.c.ff0), nl.output_pin(t.c.u0),
+                             nl.input_pin(t.c.u0, 0), nl.input_pin(t.c.u0, 1),
+                             nl.output_pin(t.c.pi0),
+                             nl.output_pin(t.c.pi1)}));
+}
+
+TEST(HeteroGraphTest, ConeSizesSumToTopedges) {
+  // Every cone node other than the Topnode is one Topedge, so the index
+  // holds exactly sum(n_top) + one Topnode per observation point.
+  const testing::SmallDesign d(4);
+  std::int64_t topedges = 0;
+  for (NodeId n = 0; n < d.graph.num_nodes(); ++n) topedges += d.graph.n_top(n);
+  std::int64_t indexed = 0;
+  for (std::int32_t obs = 0; obs < d.graph.num_topnodes(); ++obs) {
+    const std::span<const NodeId> cone = d.graph.cone(obs);
+    EXPECT_TRUE(std::is_sorted(cone.begin(), cone.end()));
+    indexed += static_cast<std::int64_t>(cone.size());
+  }
+  EXPECT_EQ(indexed, topedges + d.graph.num_topnodes());
 }
 
 TEST(HeteroGraphTest, DegreesMatchAdjacency) {

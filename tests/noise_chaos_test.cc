@@ -43,10 +43,9 @@ namespace {
 
 struct NoiseSetup {
   testing::SmallDesign d;
-  HeteroGraph graph;
+  const HeteroGraph& graph;
 
-  explicit NoiseSetup(std::uint64_t seed = 5)
-      : d(seed), graph(d.netlist, d.tiers, d.mivs) {}
+  explicit NoiseSetup(std::uint64_t seed = 5) : d(seed), graph(d.graph) {}
 };
 
 // No-thinning options so quarantine indices are predictable from log order.
@@ -96,7 +95,8 @@ std::vector<NodeId> one_response_suspects(const NoiseSetup& s,
   } else {
     log.scan_fails = {o};
   }
-  return backtrace_candidates(s.graph, s.d.context(), log, untinned());
+  return backtrace_with_support(s.graph, s.d.context(), log, untinned())
+      .candidates;
 }
 
 bool disjoint_sorted(const std::vector<NodeId>& a,
@@ -304,8 +304,9 @@ ResponseAt response_at(const NoiseSetup& s, const FailureLog& log,
     single.compacted = true;
     single.channel_fails = {c};
     out.pattern = c.pattern;
-    out.cone = backtrace_candidates(s.graph, s.d.context(), single,
-                                    untinned());
+    out.cone = backtrace_with_support(s.graph, s.d.context(), single,
+                                      untinned())
+                   .candidates;
   } else {
     const Observation& o =
         log.po_fails[static_cast<std::size_t>(index - scan - chan)];

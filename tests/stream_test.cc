@@ -88,7 +88,6 @@ class StreamModes : public ::testing::TestWithParam<bool> {};
 
 TEST_P(StreamModes, FinalizeMatchesBatchOnCleanFeeds) {
   testing::SmallDesign d(5);
-  const HeteroGraph graph(d.netlist, d.tiers, d.mivs);
   DataGenOptions opt;
   opt.num_samples = 20;
   opt.compacted = GetParam();
@@ -96,13 +95,13 @@ TEST_P(StreamModes, FinalizeMatchesBatchOnCleanFeeds) {
   opt.max_failing_patterns = 0;
   opt.seed = 41;
   for (const Sample& sample : generate_samples(d.context(), opt)) {
-    StreamingBacktrace stream(graph, d.context());
+    StreamingBacktrace stream(d.graph, d.context());
     for (const StreamRecord& r : to_records(sample.log)) stream.add(r);
     // The accumulated log reproduces the input (canonical order preserved).
     EXPECT_EQ(failure_log_to_string(stream.log()),
               failure_log_to_string(sample.log));
     const BacktraceResult batch =
-        backtrace_with_support(graph, d.context(), sample.log);
+        backtrace_with_support(d.graph, d.context(), sample.log);
     expect_same_backtrace(stream.finalize(), batch);
   }
 }
@@ -112,7 +111,6 @@ TEST_P(StreamModes, FinalizeMatchesBatchOnPermutedFeeds) {
   // kinds and patterns arbitrarily): finalize() must still equal the batch
   // path over the log the stream accumulated.
   testing::SmallDesign d(5);
-  const HeteroGraph graph(d.netlist, d.tiers, d.mivs);
   DataGenOptions opt;
   opt.num_samples = 10;
   opt.compacted = GetParam();
@@ -131,7 +129,7 @@ TEST_P(StreamModes, FinalizeMatchesBatchOnPermutedFeeds) {
     for (std::size_t i = recs.size() - 2; i > 1; --i) {
       std::swap(recs[i], recs[1 + next() % i]);
     }
-    StreamingBacktrace stream(graph, d.context());
+    StreamingBacktrace stream(d.graph, d.context());
     // Replay the mode record first (a feed declares its mode up front).
     StreamRecord mode;
     mode.kind = StreamRecord::Kind::kMode;
@@ -142,20 +140,19 @@ TEST_P(StreamModes, FinalizeMatchesBatchOnPermutedFeeds) {
       stream.add(r);
     }
     const BacktraceResult batch =
-        backtrace_with_support(graph, d.context(), stream.log());
+        backtrace_with_support(d.graph, d.context(), stream.log());
     expect_same_backtrace(stream.finalize(), batch);
   }
 }
 
 TEST(StreamBacktraceTest, CleanFeedNarrowsMonotonically) {
   testing::SmallDesign d(5);
-  const HeteroGraph graph(d.netlist, d.tiers, d.mivs);
   DataGenOptions opt;
   opt.num_samples = 15;
   opt.max_failing_patterns = 0;
   opt.seed = 47;
   for (const Sample& sample : generate_samples(d.context(), opt)) {
-    StreamingBacktrace stream(graph, d.context());
+    StreamingBacktrace stream(d.graph, d.context());
     const std::int32_t cap = StreamingOptions{}.backtrace.max_traced_responses;
     std::size_t last = 0;
     bool first = true;
@@ -178,14 +175,13 @@ TEST(StreamBacktraceTest, CleanFeedNarrowsMonotonically) {
 
 TEST(StreamBacktraceTest, DuplicateRecordLeavesStateUntouched) {
   testing::SmallDesign d(5);
-  const HeteroGraph graph(d.netlist, d.tiers, d.mivs);
   DataGenOptions opt;
   opt.num_samples = 1;
   opt.max_failing_patterns = 0;
   opt.seed = 53;
   const auto samples = generate_samples(d.context(), opt);
   ASSERT_FALSE(samples.empty());
-  StreamingBacktrace stream(graph, d.context());
+  StreamingBacktrace stream(d.graph, d.context());
   const std::vector<StreamRecord> recs = to_records(samples[0].log);
   StreamRecord repeat;
   bool have_repeat = false;
@@ -205,13 +201,47 @@ TEST(StreamBacktraceTest, DuplicateRecordLeavesStateUntouched) {
   EXPECT_EQ(stream.snapshot().backtrace.candidates, candidates);
 }
 
+TEST(StreamBacktraceTest, UnknownObservationPointRejectedBeforeStateChanges) {
+  testing::SmallDesign d(5);
+  DataGenOptions opt;
+  opt.num_samples = 1;
+  opt.max_failing_patterns = 0;
+  opt.seed = 53;
+  const auto samples = generate_samples(d.context(), opt);
+  ASSERT_FALSE(samples.empty());
+  StreamingBacktrace stream(d.graph, d.context());
+  for (const StreamRecord& r : to_records(samples[0].log)) stream.add(r);
+  const std::int32_t before = stream.num_responses();
+
+  StreamRecord scan;
+  scan.kind = StreamRecord::Kind::kScan;
+  scan.observation = Observation{0, false, d.scan.num_flops()};
+  StreamRecord po;
+  po.kind = StreamRecord::Kind::kPo;
+  po.observation = Observation{
+      0, true, static_cast<std::int32_t>(d.netlist.primary_outputs().size())};
+  StreamRecord chan;
+  chan.kind = StreamRecord::Kind::kChan;
+  chan.channel = ChannelFail{0, d.compactor.num_channels(), 0};
+  for (const StreamRecord& bad : {scan, po, chan}) {
+    EXPECT_THROW(stream.add(bad), Error);
+  }
+  // Nothing was recorded, so the session still finalizes like the batch
+  // path over the log it accepted.
+  EXPECT_EQ(stream.num_responses(), before);
+  EXPECT_EQ(failure_log_to_string(stream.log()),
+            failure_log_to_string(samples[0].log));
+  expect_same_backtrace(
+      stream.finalize(),
+      backtrace_with_support(d.graph, d.context(), samples[0].log));
+}
+
 TEST(StreamBacktraceTest, OnlineQuarantineCondemnsAndRehabilitates) {
   // Two faults with disjoint candidate sets; a short burst of fault-A
   // evidence followed by a longer fault-B stream.  When B overtakes the
   // consensus, the early B response condemned by A's majority must be
   // rehabilitated, and finalize must still equal batch over the mixed log.
   testing::SmallDesign d(5);
-  const HeteroGraph graph(d.netlist, d.tiers, d.mivs);
   DataGenOptions opt;
   opt.num_samples = 25;
   opt.max_failing_patterns = 0;
@@ -238,15 +268,17 @@ TEST(StreamBacktraceTest, OnlineQuarantineCondemnsAndRehabilitates) {
       const std::vector<StreamRecord> recs_b = failing(samples[b].log);
       if (recs_a.size() < 2 || recs_b.size() < 6) continue;
       const std::vector<NodeId> cand_a =
-          backtrace_candidates(graph, d.context(), samples[a].log);
+          backtrace_with_support(d.graph, d.context(), samples[a].log)
+              .candidates;
       const std::vector<NodeId> cand_b =
-          backtrace_candidates(graph, d.context(), samples[b].log);
+          backtrace_with_support(d.graph, d.context(), samples[b].log)
+              .candidates;
       std::vector<NodeId> common;
       std::set_intersection(cand_a.begin(), cand_a.end(), cand_b.begin(),
                             cand_b.end(), std::back_inserter(common));
       if (!common.empty()) continue;
 
-      StreamingBacktrace stream(graph, d.context());
+      StreamingBacktrace stream(d.graph, d.context());
       StreamRecord mode;
       mode.kind = StreamRecord::Kind::kMode;
       mode.compacted = false;
@@ -259,7 +291,7 @@ TEST(StreamBacktraceTest, OnlineQuarantineCondemnsAndRehabilitates) {
       EXPECT_GT(snap.condemnations, 0);
       EXPECT_GT(snap.rehabilitations, 0);
       const BacktraceResult batch =
-          backtrace_with_support(graph, d.context(), stream.log());
+          backtrace_with_support(d.graph, d.context(), stream.log());
       expect_same_backtrace(stream.finalize(), batch);
       return;
     }
@@ -269,7 +301,6 @@ TEST(StreamBacktraceTest, OnlineQuarantineCondemnsAndRehabilitates) {
 
 TEST(StreamBacktraceTest, StabilityLatchesEarlyExitPoint) {
   testing::SmallDesign d(5);
-  const HeteroGraph graph(d.netlist, d.tiers, d.mivs);
   DataGenOptions opt;
   opt.num_samples = 20;
   opt.max_failing_patterns = 0;
@@ -279,7 +310,7 @@ TEST(StreamBacktraceTest, StabilityLatchesEarlyExitPoint) {
   stream_opt.stability_window = 3;
   bool any_stable = false;
   for (const Sample& sample : generate_samples(d.context(), opt)) {
-    StreamingBacktrace stream(graph, d.context(), stream_opt);
+    StreamingBacktrace stream(d.graph, d.context(), stream_opt);
     std::int32_t latched = -1;
     for (const StreamRecord& r : to_records(sample.log)) {
       if (stream.add(r) != StreamAccept::kAccepted) continue;

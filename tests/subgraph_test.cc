@@ -12,11 +12,11 @@ namespace {
 
 struct SubgraphSetup {
   testing::SmallDesign d;
-  HeteroGraph graph;
+  const HeteroGraph& graph;
   std::vector<Sample> samples;
   std::vector<Subgraph> graphs;
 
-  explicit SubgraphSetup(double miv_prob = 0.0) : d(5), graph(d.netlist, d.tiers, d.mivs) {
+  explicit SubgraphSetup(double miv_prob = 0.0) : d(5), graph(d.graph) {
     DataGenOptions opt;
     opt.num_samples = 15;
     opt.miv_fault_prob = miv_prob;
@@ -25,7 +25,7 @@ struct SubgraphSetup {
     samples = generate_samples(d.context(), opt);
     for (const Sample& s : samples) {
       Subgraph sg = extract_subgraph(
-          graph, backtrace_candidates(graph, d.context(), s.log));
+          graph, backtrace_with_support(graph, d.context(), s.log).candidates);
       label_subgraph(sg, s);
       graphs.push_back(std::move(sg));
     }

@@ -8,6 +8,7 @@
 #include "dft/compactor.h"
 #include "dft/scan.h"
 #include "diag/datagen.h"
+#include "graph/hetero_graph.h"
 #include "m3d/miv.h"
 #include "m3d/partition.h"
 #include "netlist/generator.h"
@@ -83,7 +84,7 @@ inline Netlist small_netlist(std::uint64_t seed = 7) {
 }
 
 // A fully prepared small design (tiers, MIVs, scan, compactor, patterns,
-// good-machine simulation) for diagnosis-layer tests.
+// good-machine simulation, diagnosis graph) for diagnosis-layer tests.
 struct SmallDesign {
   Netlist netlist;
   TierAssignment tiers;
@@ -92,6 +93,7 @@ struct SmallDesign {
   XorCompactor compactor;
   AtpgResult atpg;
   LocSimulator sim;
+  HeteroGraph graph;
 
   explicit SmallDesign(std::uint64_t seed = 7, std::int32_t num_chains = 8,
                        std::int32_t chains_per_channel = 4)
@@ -106,7 +108,8 @@ struct SmallDesign {
           opt.seed = seed ^ 0xA7B6;
           return generate_tdf_patterns(netlist, opt);
         }()),
-        sim(netlist) {
+        sim(netlist),
+        graph(netlist, tiers, mivs) {
     sim.run(atpg.patterns);
   }
 
@@ -119,6 +122,7 @@ struct SmallDesign {
     ctx.compactor = &compactor;
     ctx.patterns = &atpg.patterns;
     ctx.good = &sim;
+    ctx.graph = &graph;
     ctx.fail_memory_patterns = 0;
     return ctx;
   }
