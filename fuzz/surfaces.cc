@@ -4,6 +4,7 @@
 
 #include "core/config.h"
 #include "diag/log_io.h"
+#include "lint/lint.h"
 #include "netlist/verilog_io.h"
 #include "registry/registry.h"
 #include "serve/journal.h"
@@ -47,6 +48,10 @@ bool citation_always_required(Surface surface) {
 }
 
 SurfaceOutcome run_surface(Surface surface, const std::string& data) {
+  // The lint path scans MNL with read_mnl's scanner but reports every bad
+  // line as a diagnostic instead of throwing.  It runs outside the try
+  // below, so anything it throws (m3dfl::Error included) is a finding.
+  if (surface == Surface::kMnl) (void)lint::lint_mnl(data, "<fuzz>");
   SurfaceOutcome outcome;
   try {
     switch (surface) {

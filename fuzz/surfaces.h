@@ -1,10 +1,11 @@
 // The seven untrusted parse surfaces, behind one bytes-in/verdict-out call.
 //
 // Everything the service parses that it did not itself write funnels through
-// run_surface(): the MNL netlist reader, the batch failure-log reader, the
-// per-line streaming record parser, the artifact container, the session
-// journal segment scanner, the train-config reader, and registry artifact
-// filename parsing.  (Verilog is write-only; it has no parse surface.)
+// run_surface(): the MNL netlist reader (plus `m3dfl_tool lint`'s scan of
+// the same bytes), the batch failure-log reader, the per-line streaming
+// record parser, the artifact container, the session journal segment
+// scanner, the train-config reader, and registry artifact filename parsing.
+// (Verilog is write-only; it has no parse surface.)
 //
 // The contract run_surface() enforces — and that both fuzz drivers check —
 // is the hardening contract of util/limits.h:
@@ -29,7 +30,8 @@
 namespace m3dfl::fuzz {
 
 enum class Surface {
-  kMnl,           // netlist/verilog_io.h read_mnl / from_mnl
+  kMnl,           // netlist/verilog_io.h read_mnl / from_mnl, and
+                  // lint/lint.h lint_mnl (which must never throw)
   kFaillogBatch,  // diag/log_io.h read_failure_log
   kStreamRecord,  // diag/log_io.h parse_stream_record (one feed line)
   kArtifact,      // util/artifact.h read_artifact (container envelope)

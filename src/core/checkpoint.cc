@@ -131,11 +131,6 @@ Trainer::Trainer(DiagnosisFramework& framework, const TrainerOptions& options)
   M3DFL_REQUIRE(options_.max_rollbacks >= 0, "max_rollbacks must be >= 0");
 }
 
-bool Trainer::seam_fires(TrainSeam seam) {
-  return injector_ != nullptr &&
-         injector_->should_fail(static_cast<int>(seam));
-}
-
 std::string Trainer::checkpoint_path() const {
   return options_.checkpoint_dir + "/" + kCheckpointFileName;
 }
@@ -199,7 +194,8 @@ void Trainer::save_checkpoint() {
   M3DFL_REQUIRE(checkpointing(),
                 "save_checkpoint requires a checkpoint directory");
   const std::string path = checkpoint_path();
-  if (seam_fires(TrainSeam::kCheckpointSave)) {
+  if (injector_ != nullptr &&
+      injector_->should_fail(TrainSeam::kCheckpointSave)) {
     // Stands in for dying mid-write.  Thrown before the atomic rename, which
     // is exactly the guarantee write_file_atomic gives a real crash: the
     // previous checkpoint file survives untouched.
@@ -387,7 +383,8 @@ void Trainer::run_loop(std::size_t dataset_size, Adam& adam,
 }
 
 bool Trainer::epoch_hook(Adam& adam, const ModelIo& io) {
-  if (seam_fires(TrainSeam::kNanLoss)) {
+  if (injector_ != nullptr &&
+      injector_->should_fail(TrainSeam::kNanLoss)) {
     state_.last_loss = std::numeric_limits<double>::quiet_NaN();
   }
   if (!std::isfinite(state_.last_loss) || !adam.all_finite()) {
@@ -402,7 +399,8 @@ bool Trainer::epoch_hook(Adam& adam, const ModelIo& io) {
                           state_.done)) {
     save_checkpoint();
   }
-  if (seam_fires(TrainSeam::kEpochEnd)) {
+  if (injector_ != nullptr &&
+      injector_->should_fail(TrainSeam::kEpochEnd)) {
     throw SimulatedCrash("m3dfl: injected crash at epoch boundary: phase " +
                          std::to_string(phase_) + ", epoch " +
                          std::to_string(state_.next_epoch));

@@ -46,7 +46,7 @@ inline constexpr const char* kCheckpointKind = "train-checkpoint";
 inline constexpr const char* kCheckpointFileName = "checkpoint.m3dfl";
 
 // Failure seams of the training pipeline, for the kill–resume chaos harness
-// (seam ids on the generic m3dfl::FaultInjector).
+// (seams of util/fault_injector.h's FaultInjector).
 enum class TrainSeam : int {
   kEpochEnd = 0,        // crash at an epoch boundary (after any checkpoint)
   kCheckpointSave = 1,  // crash during a checkpoint write (old file survives)
@@ -141,7 +141,6 @@ class Trainer {
   };
 
   bool checkpointing() const { return !options_.checkpoint_dir.empty(); }
-  bool seam_fires(TrainSeam seam);
 
   void run_tier_phase(std::span<const Subgraph> graphs);
   void run_miv_phase(std::span<const Subgraph> graphs);

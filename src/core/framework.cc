@@ -167,9 +167,8 @@ std::vector<Candidate> DiagnosisFramework::refine_report(
 
 void DiagnosisFramework::save(std::ostream& os) const {
   M3DFL_REQUIRE(trained_, "cannot save an untrained framework");
-  // The container payload is exactly the legacy version-1 framework stream
-  // (bare model sections, no nested containers), so the same inner parser
-  // serves both the envelope and pre-container files.
+  // The container payload is the version-1 framework stream (bare model
+  // sections, no nested containers).
   std::ostringstream payload;
   payload << "m3dfl-framework 1\n";
   payload << "tp_threshold " << std::hexfloat << tp_threshold_
@@ -185,11 +184,8 @@ void DiagnosisFramework::save(std::ostream& os) const {
 }
 
 void DiagnosisFramework::load(std::istream& is, const std::string& source) {
-  const std::string text = slurp_stream(is);
-  // Container form when wrapped; bare legacy "m3dfl-framework 1" streams
-  // (the pre-container era) pass through unchanged — the migration shim.
   std::istringstream inner(
-      is_artifact(text) ? read_artifact(text, kFrameworkKind, source) : text);
+      read_artifact(slurp_stream(is), kFrameworkKind, source));
 
   std::string token;
   inner >> token;
@@ -234,6 +230,58 @@ std::vector<Candidate> DiagnosisFramework::diagnose(
   prediction.pruned = !pruned.empty();
   if (prediction_out != nullptr) *prediction_out = prediction;
   return pruned;
+}
+
+// ---- Format-1 migration -------------------------------------------------------
+
+MigratedArtifact migrate_artifact(const std::string& bytes,
+                                  const std::string& source) {
+  MigratedArtifact result;
+  result.converted = !is_artifact(bytes);
+  // "m3dfl-artifact 2 <kind>", "m3dfl-framework 1" or "m3dfl-model 1 <kind>".
+  std::istringstream header(bytes.substr(0, bytes.find('\n')));
+  std::string magic;
+  std::string version;
+  header >> magic >> version >> result.kind;
+  if (result.converted) {
+    if (magic == "m3dfl-framework") {
+      result.kind = kFrameworkKind;
+    } else if (magic != "m3dfl-model") {
+      throw Error("'" + source +
+                  "' is neither a format-2 artifact nor a format-1 model "
+                  "stream (expected m3dfl-artifact, m3dfl-framework or "
+                  "m3dfl-model magic)");
+    } else if (result.kind == kPruneClassifierKind) {
+      throw Error("a bare prune-classifier stream cannot be migrated "
+                  "standalone (it needs its host encoder); migrate the "
+                  "enclosing framework artifact instead");
+    }
+  }
+  // A format-1 stream is exactly the container's payload: wrap it, then
+  // load and re-save so the output is what save() writes.  A container is
+  // validated end to end (structure, CRC, payload parse) and kept as is.
+  const std::string container =
+      result.converted ? artifact_to_string(result.kind, bytes) : bytes;
+  std::istringstream is(container);
+  std::ostringstream os;
+  if (result.kind == kFrameworkKind) {
+    DiagnosisFramework framework;
+    framework.load(is, source);
+    framework.save(os);
+  } else if (result.kind == kTierPredictorKind) {
+    save_model(os, load_tier_predictor(is, source));
+  } else if (result.kind == kMivPinpointerKind) {
+    save_model(os, load_miv_pinpointer(is, source));
+  } else if (result.converted) {
+    throw Error("unknown format-1 model kind '" + result.kind + "' in '" +
+                source + "'");
+  } else {
+    // Other kinds (a prune classifier needs its host encoder to parse):
+    // the container structure and CRC only.
+    (void)read_artifact(container, result.kind, source);
+  }
+  result.bytes = result.converted ? os.str() : bytes;
+  return result;
 }
 
 }  // namespace m3dfl

@@ -166,10 +166,10 @@ class DiagnosisFramework {
   // Persists / restores the trained framework (all three models plus T_P);
   // the pretrained asset the paper reuses across netlists.  save() wraps the
   // stream in the checksummed artifact container (util/artifact.h); load()
-  // accepts both the container and bare legacy "m3dfl-framework 1" streams
-  // and throws m3dfl::Error — citing `source` — on truncation, corruption,
-  // or a format/shape mismatch.  Pass the file path as `source` when loading
-  // from a file.
+  // accepts only that container and throws m3dfl::Error — citing `source` —
+  // on truncation, corruption, or a format/shape mismatch (a bare format-1
+  // stream is rejected with a hint naming migrate_artifact's CLI, below).
+  // Pass the file path as `source` when loading from a file.
   void save(std::ostream& os) const;
   void load(std::istream& is, const std::string& source = "<stream>");
 
@@ -185,6 +185,22 @@ class DiagnosisFramework {
   double tp_threshold_ = 1.0;
   bool trained_ = false;
 };
+
+// `m3dfl_tool migrate-artifact`: the only reader of format-1 streams (bare
+// "m3dfl-framework 1" or "m3dfl-model 1 <kind>", from before the container).
+// Converts a framework, tier-predictor or miv-pinpointer stream into the
+// format-2 container save() writes.  A format-2 container is validated end
+// to end (structure, CRC, and a payload parse where the kind parses
+// standalone) and returned unchanged.  Throws m3dfl::Error, citing
+// `source`, on anything else — a bare prune-classifier stream included,
+// since it deserializes against its host tier predictor.
+struct MigratedArtifact {
+  std::string kind;        // artifact kind
+  bool converted = false;  // false: the input was already a container
+  std::string bytes;       // the format-2 container
+};
+MigratedArtifact migrate_artifact(const std::string& bytes,
+                                  const std::string& source);
 
 }  // namespace m3dfl
 

@@ -187,16 +187,6 @@ GcnModelConfig read_header(std::istream& is, const std::string& type,
   return load_config(is);
 }
 
-// Slurps the stream and unwraps the checksummed container when present; a
-// bare "m3dfl-model 1" stream (the pre-container format) passes through
-// unchanged — the migration shim.
-std::string unwrap_model(std::istream& is, const std::string& kind,
-                         const std::string& source) {
-  const std::string text = slurp_stream(is);
-  if (is_artifact(text)) return read_artifact(text, kind, source);
-  return text;
-}
-
 }  // namespace
 
 TierPredictor read_tier_predictor_payload(std::istream& is,
@@ -241,20 +231,23 @@ void save_model(std::ostream& os, const PruneClassifier& model) {
 
 TierPredictor load_tier_predictor(std::istream& is,
                                   const std::string& source) {
-  std::istringstream payload(unwrap_model(is, kTierPredictorKind, source));
+  std::istringstream payload(
+      read_artifact(slurp_stream(is), kTierPredictorKind, source));
   return read_tier_predictor_payload(payload, source);
 }
 
 MivPinpointer load_miv_pinpointer(std::istream& is,
                                   const std::string& source) {
-  std::istringstream payload(unwrap_model(is, kMivPinpointerKind, source));
+  std::istringstream payload(
+      read_artifact(slurp_stream(is), kMivPinpointerKind, source));
   return read_miv_pinpointer_payload(payload, source);
 }
 
 PruneClassifier load_prune_classifier(std::istream& is,
                                       const TierPredictor& host,
                                       const std::string& source) {
-  std::istringstream payload(unwrap_model(is, kPruneClassifierKind, source));
+  std::istringstream payload(
+      read_artifact(slurp_stream(is), kPruneClassifierKind, source));
   return read_prune_classifier_payload(payload, host, source);
 }
 

@@ -12,10 +12,11 @@
 //   * the container: the versioned, CRC32-checksummed envelope of
 //     util/artifact.h that save_model() wraps the payload in.
 //
-// load_* accepts both the container form and a bare legacy payload (the
-// pre-container "version 1" files) — the migration shim — and throws
-// m3dfl::Error with offset-cited diagnostics on truncation, corruption, or
-// version/kind mismatches.
+// load_* accepts only the container and throws m3dfl::Error with
+// offset-cited diagnostics on truncation, corruption, or version/kind
+// mismatches.  A bare pre-container payload (format 1) is rejected with a
+// hint naming `m3dfl_tool migrate-artifact` (core/framework.h
+// migrate_artifact), which wraps it.
 #ifndef M3DFL_GNN_SERIALIZE_H_
 #define M3DFL_GNN_SERIALIZE_H_
 
@@ -53,8 +54,8 @@ PruneClassifier load_prune_classifier(std::istream& is,
                                       const std::string& source = "<stream>");
 
 // Bare-payload readers ("m3dfl-model 1 <kind>" onward), used for model
-// sections embedded inside a larger artifact (frameworks, checkpoints) and
-// by the legacy shim.  They consume exactly one model from the stream.
+// sections embedded inside a larger artifact (frameworks, checkpoints).
+// They consume exactly one model from the stream.
 TierPredictor read_tier_predictor_payload(std::istream& is,
                                           const std::string& source);
 MivPinpointer read_miv_pinpointer_payload(std::istream& is,

@@ -51,9 +51,10 @@ Report lint_subgraph(const Subgraph& subgraph, std::string scope = {});
 // Lints every sample of a training set (the train preflight).
 Report lint_training_set(std::span<const Subgraph> graphs);
 
-// Leniently scans MNL text and lints the netlist structure.  Unlike
-// read_mnl(), this diagnoses *all* defects (multi-driver, undriven, arity,
-// loops) with file:line locations instead of throwing on the first.
+// Scans MNL text with read_mnl()'s scanner and limits, and lints the
+// netlist structure.  Unlike read_mnl(), this diagnoses *all* defects (bad
+// lines, multi-driver, undriven, arity, loops) with file:line locations
+// instead of throwing on the first; it never throws.
 Report lint_mnl(const std::string& text, const std::string& source);
 
 }  // namespace m3dfl::lint

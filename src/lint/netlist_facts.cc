@@ -42,158 +42,28 @@ NetlistFacts NetlistFacts::from_netlist(const Netlist& netlist) {
   return facts;
 }
 
-namespace {
-
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) out.push_back(tok);
-  return out;
-}
-
-bool parse_i32(const std::string& s, std::int32_t& out) {
-  try {
-    std::size_t pos = 0;
-    const long v = std::stol(s, &pos);
-    if (pos != s.size()) return false;
-    if (v < INT32_MIN || v > INT32_MAX) return false;
-    out = static_cast<std::int32_t>(v);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
-
 NetlistFacts NetlistFacts::from_mnl(const std::string& text,
                                     const std::string& source,
                                     Report& parse_diags) {
+  Emitter emit(parse_diags);
+  std::istringstream is(text);
+  MnlScan scan = scan_mnl(
+      is, ParseLimits::defaults(), [&](int line, const std::string& what) {
+        emit.emit("mnl-syntax", source + ":" + std::to_string(line), what);
+      });
   NetlistFacts facts;
   facts.source = source;
-  Emitter emit(parse_diags);
-  const auto loc = [&](int line_no) {
-    return source + ":" + std::to_string(line_no);
-  };
-
-  std::istringstream is(text);
-  std::string line;
-  int line_no = 0;
-  bool saw_header = false;
-  const auto note_net = [&](std::int32_t net) {
-    if (net >= facts.num_nets) {
-      facts.num_nets = net + 1;
-      facts.net_drivers.resize(static_cast<std::size_t>(facts.num_nets));
+  facts.design_name = std::move(scan.design_name);
+  facts.gates = std::move(scan.gates);
+  facts.num_nets = scan.num_nets;
+  // A second driver of the same net is recorded, not rejected: diagnosing
+  // it is the point of the netlist pass.
+  facts.net_drivers.assign(static_cast<std::size_t>(facts.num_nets), {});
+  for (std::int32_t g = 0; g < facts.num_gates(); ++g) {
+    const NetId out = facts.gates[static_cast<std::size_t>(g)].fanout;
+    if (out != kNullNet) {
+      facts.net_drivers[static_cast<std::size_t>(out)].push_back(g);
     }
-  };
-
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const auto toks = split_ws(line);
-    if (toks.empty()) continue;
-    if (!saw_header) {
-      if (toks[0] != "mnl" || toks.size() != 2 || toks[1] != "1") {
-        emit.emit("mnl-syntax", loc(line_no),
-                  "not an MNL stream: expected 'mnl 1' header, found '" +
-                      line + "'");
-        return facts;
-      }
-      saw_header = true;
-      continue;
-    }
-    if (toks[0] == "design") {
-      if (toks.size() == 2) {
-        facts.design_name = toks[1];
-      } else {
-        emit.emit("mnl-syntax", loc(line_no),
-                  "bad design record (expected 'design <name>')");
-      }
-      continue;
-    }
-    if (toks[0] == "end") break;
-    if (toks[0] != "gate") {
-      emit.emit("mnl-syntax", loc(line_no),
-                "unknown record '" + toks[0] + "'");
-      continue;
-    }
-    if (toks.size() != 6) {
-      emit.emit("mnl-syntax", loc(line_no),
-                "truncated 'gate' record (expected 6 fields, got " +
-                    std::to_string(toks.size()) + ")");
-      continue;
-    }
-    std::int32_t id = -1;
-    if (!parse_i32(toks[1], id) || id != facts.num_gates()) {
-      emit.emit("mnl-syntax", loc(line_no),
-                "bad gate id '" + toks[1] + "' (expected dense id " +
-                    std::to_string(facts.num_gates()) + ")");
-      continue;
-    }
-    FactsGate gate;
-    gate.line = line_no;
-    gate.name = toks[3];
-    try {
-      gate.type = parse_gate_type(toks[2]);
-    } catch (const Error&) {
-      emit.emit("mnl-syntax", loc(line_no),
-                "unknown gate type '" + toks[2] + "'");
-      continue;
-    }
-    // out=<net|->  — a second driver of the same net is recorded, not
-    // rejected: diagnosing it is the point of the netlist pass.
-    bool ok = true;
-    if (toks[4].rfind("out=", 0) != 0 || toks[4].size() < 5) {
-      ok = false;
-    } else if (const std::string out = toks[4].substr(4); out != "-") {
-      std::int32_t net = -1;
-      if (!parse_i32(out, net) || net < 0) {
-        ok = false;
-      } else {
-        note_net(net);
-        gate.fanout = net;
-      }
-    }
-    // in=<net,net,...|->
-    if (ok && (toks[5].rfind("in=", 0) != 0 || toks[5].size() < 4)) ok = false;
-    if (ok) {
-      const std::string in = toks[5].substr(3);
-      if (in != "-") {
-        std::size_t start = 0;
-        while (ok && start <= in.size()) {
-          const std::size_t comma = in.find(',', start);
-          const std::string tok =
-              in.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-          std::int32_t net = -1;
-          if (!parse_i32(tok, net) || net < 0) {
-            ok = false;
-            break;
-          }
-          note_net(net);
-          gate.fanin.push_back(net);
-          if (comma == std::string::npos) break;
-          start = comma + 1;
-        }
-      }
-    }
-    if (!ok) {
-      emit.emit("mnl-syntax", loc(line_no),
-                "bad gate connections (expected 'out=<net|-> "
-                "in=<net,net,...|->')");
-      continue;
-    }
-    if (gate.fanout >= 0) {
-      facts.net_drivers[static_cast<std::size_t>(gate.fanout)].push_back(
-          facts.num_gates());
-    }
-    facts.gates.push_back(std::move(gate));
-  }
-  if (!saw_header) {
-    emit.emit("mnl-syntax", source + ":1",
-              "empty input (expected 'mnl 1' header)");
   }
   return facts;
 }

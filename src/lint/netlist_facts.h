@@ -9,8 +9,8 @@
 // NetlistFacts is the lint-side intermediate: a plain record of "which gates
 // claim which nets" that can hold any defect.  It is built either from a
 // Netlist (always single-driver by construction, so those checks simply
-// never fire) or from MNL text via a lenient line scanner that records
-// structure without enforcing invariants, remembering the source line of
+// never fire) or from MNL text through the same bounded scanner read_mnl
+// uses (netlist/verilog_io.h scan_mnl), which remembers the source line of
 // every record so diagnostics cite file:line.
 #ifndef M3DFL_LINT_NETLIST_FACTS_H_
 #define M3DFL_LINT_NETLIST_FACTS_H_
@@ -19,20 +19,14 @@
 #include <string>
 #include <vector>
 
-#include "netlist/cell.h"
-#include "netlist/netlist.h"
+#include "netlist/verilog_io.h"
 
 namespace m3dfl::lint {
 
 class Report;  // diagnostic.h
 
-struct FactsGate {
-  GateType type = GateType::kBuf;
-  std::string name;
-  std::vector<std::int32_t> fanin;  // net ids, in pin order
-  std::int32_t fanout = -1;         // net id, -1 = none declared
-  int line = 0;                     // 1-based source line, 0 = not from a file
-};
+// A gate as the lint checks see it; `line` is 0 when not from a file.
+using FactsGate = MnlGate;
 
 struct NetlistFacts {
   std::string source;       // file name for location citations; "" = in-memory
@@ -54,11 +48,11 @@ struct NetlistFacts {
   // Extracts facts from a (possibly unfinalized) Netlist.
   static NetlistFacts from_netlist(const Netlist& netlist);
 
-  // Leniently scans MNL text: structural defects (multi-driver, undriven,
-  // bad arity) are *recorded*, not rejected — they are what the lint pass
-  // is for.  Only lines the scanner cannot read at all (bad tokens, unknown
-  // gate types, duplicate gate ids) produce `mnl-syntax` diagnostics in
-  // `parse_diags`, and those lines are skipped.
+  // Scans MNL text with scan_mnl: structural defects (multi-driver,
+  // undriven, bad arity) are *recorded*, not rejected — they are what the
+  // lint pass is for.  Each line the scanner reports (malformed, or past a
+  // ParseLimits cap) becomes an `mnl-syntax` diagnostic in `parse_diags`
+  // and is skipped.
   static NetlistFacts from_mnl(const std::string& text,
                                const std::string& source,
                                Report& parse_diags);

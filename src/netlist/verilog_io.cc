@@ -1,5 +1,7 @@
 #include "netlist/verilog_io.h"
 
+#include <algorithm>
+#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -54,22 +56,32 @@ namespace {
   throw Error("MNL line " + std::to_string(line_no) + ": " + what);
 }
 
-std::vector<std::string> split_ws(const std::string& line, int line_no,
+// A line scan_mnl cannot take; caught per line and handed to on_error.
+struct BadLine {
+  std::string what;
+};
+
+[[noreturn]] void bad_line(std::string what) {
+  throw BadLine{std::move(what)};
+}
+
+// The whitespace-separated tokens of `line` before any '#' comment.
+std::vector<std::string> split_ws(const std::string& line,
                                   const ParseLimits& limits) {
   std::vector<std::string> out;
-  std::istringstream is(line);
+  std::istringstream is(line.substr(0, line.find('#')));
   std::string tok;
   while (is >> tok) {
     if (out.size() >= limits.max_tokens_per_line) {
-      parse_fail(line_no, limit_exceeded("tokens on one line", out.size() + 1,
-                                        limits.max_tokens_per_line));
+      bad_line(limit_exceeded("tokens on one line", out.size() + 1,
+                              limits.max_tokens_per_line));
     }
     out.push_back(tok);
   }
   return out;
 }
 
-std::int32_t parse_i32(const std::string& s, int line_no, const char* what) {
+std::int32_t parse_i32(const std::string& s, const char* what) {
   try {
     std::size_t pos = 0;
     const long long v = std::stoll(s, &pos);
@@ -82,181 +94,165 @@ std::int32_t parse_i32(const std::string& s, int line_no, const char* what) {
     }
     return static_cast<std::int32_t>(v);
   } catch (const std::exception&) {
-    parse_fail(line_no, std::string("bad ") + what + " '" + s + "'");
+    bad_line(std::string("bad ") + what + " '" + s + "'");
   }
 }
 
-// bounded_getline + the MNL citation for an over-long line.
-bool read_line(std::istream& is, std::string& line, int line_no,
-               const ParseLimits& limits) {
-  const BoundedLine bl = bounded_getline(is, line, limits.max_line_bytes);
-  if (bl.too_long()) {
-    parse_fail(line_no + 1,
-               limit_exceeded_over("line bytes", limits.max_line_bytes));
+// Validated against the policy cap BEFORE the id sizes anything: one record
+// naming net 2^31-1 must reject here, not allocate a 2-billion-entry table.
+NetId parse_net(const std::string& s, const ParseLimits& limits) {
+  const NetId net = parse_i32(s, "net id");
+  if (net < 0) bad_line("out-of-range net id " + std::to_string(net));
+  if (net >= limits.max_nets) {
+    bad_line(limit_exceeded("net id", static_cast<unsigned long long>(net),
+                            static_cast<unsigned long long>(
+                                limits.max_nets)));
   }
-  return bl.ok();
+  return net;
+}
+
+// Expected-vs-found, so a file of the wrong kind (or a future format
+// version) is reported as such instead of as a generic failure.
+void scan_header(const std::vector<std::string>& toks,
+                 const std::string& line) {
+  if (toks[0] != "mnl") {
+    bad_line("not an MNL stream: expected 'mnl 1' header, found '" + line +
+             "'");
+  }
+  if (toks.size() != 2 || toks[1] != "1") {
+    bad_line("unsupported MNL version: expected 1, found '" +
+             (toks.size() > 1 ? toks[1] : "") + "'");
+  }
+}
+
+MnlGate scan_gate(const std::vector<std::string>& toks, std::size_t num_gates,
+                  const ParseLimits& limits) {
+  if (toks.size() != 6) {
+    bad_line("truncated 'gate' record (expected 6 fields, got " +
+             std::to_string(toks.size()) + ")");
+  }
+  const std::int32_t id = parse_i32(toks[1], "gate id");
+  if (id != static_cast<std::int32_t>(num_gates)) {
+    bad_line("gate ids must be dense and in order: expected " +
+             std::to_string(num_gates) + ", found " + std::to_string(id));
+  }
+  if (static_cast<std::int32_t>(num_gates) >= limits.max_gates) {
+    bad_line(limit_exceeded(
+        "gate count", static_cast<unsigned long long>(num_gates) + 1,
+        static_cast<unsigned long long>(limits.max_gates)));
+  }
+  MnlGate gate;
+  try {
+    gate.type = parse_gate_type(toks[2]);
+  } catch (const Error&) {
+    bad_line("bad gate type '" + toks[2] + "'");
+  }
+  gate.name = toks[3];
+  if (toks[4].rfind("out=", 0) != 0 || toks[5].rfind("in=", 0) != 0) {
+    bad_line("bad out=/in= fields");
+  }
+  const std::string out = toks[4].substr(4);
+  if (out != "-") gate.fanout = parse_net(out, limits);
+  const std::string in = toks[5].substr(3);
+  if (in != "-") {
+    std::istringstream iss(in);
+    std::string item;
+    while (std::getline(iss, item, ',')) {
+      const NetId net = parse_net(item, limits);
+      if (gate.fanin.size() >= limits.max_fanin) {
+        bad_line(limit_exceeded("gate fanin", gate.fanin.size() + 1,
+                                limits.max_fanin));
+      }
+      gate.fanin.push_back(net);
+    }
+  }
+  return gate;
 }
 
 }  // namespace
 
-Netlist read_mnl(std::istream& is, const ParseLimits& limits) {
+MnlScan scan_mnl(std::istream& is, const ParseLimits& limits,
+                 const MnlLineError& on_error) {
+  MnlScan scan;
+  // Comment/blank lines may precede the header ('#' comments are part of
+  // the grammar, and the corpus fixtures lead with a description).
+  bool saw_header = false;
+  bool saw_design = false;
   std::string line;
-  int line_no = 0;
-  // Header, with expected-vs-found so a file of the wrong kind (or a future
-  // format version) is reported as such instead of as a generic failure.
-  // Comment/blank lines may precede it ('#' comments are part of the
-  // grammar, and the corpus fixtures lead with a description).
-  {
-    std::vector<std::string> toks;
-    while (toks.empty()) {
-      M3DFL_REQUIRE(read_line(is, line, line_no, limits),
-                    "MNL line " + std::to_string(line_no + 1) +
-                        ": empty input (expected 'mnl 1' header)");
-      ++line_no;
-      const auto hash = line.find('#');
-      std::string stripped = line;
-      if (hash != std::string::npos) stripped.resize(hash);
-      toks = split_ws(stripped, line_no, limits);
-    }
-    if (toks[0] != "mnl") {
-      parse_fail(line_no,
-                 "not an MNL stream: expected 'mnl 1' header, found '" +
-                     line + "'");
-    }
-    if (toks.size() != 2 || toks[1] != "1") {
-      parse_fail(line_no, "unsupported MNL version: expected 1, found '" +
-                              (toks.size() > 1 ? toks[1] : "") + "'");
+  for (;;) {
+    const BoundedLine read = bounded_getline(is, line, limits.max_line_bytes);
+    if (!read.ok() && !read.too_long()) break;
+    ++scan.lines;
+    try {
+      if (read.too_long()) {
+        // Discard the rest of the line without buffering it.
+        is.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+        bad_line(limit_exceeded_over("line bytes", limits.max_line_bytes));
+      }
+      const std::vector<std::string> toks = split_ws(line, limits);
+      if (toks.empty()) continue;
+      if (!saw_header) {
+        scan_header(toks, line);
+        saw_header = true;
+      } else if (toks[0] == "design") {
+        if (toks.size() != 2) {
+          bad_line("bad design record (expected 'design <name>')");
+        }
+        if (saw_design) bad_line("duplicate design record");
+        saw_design = true;
+        scan.design_name = toks[1];
+      } else if (toks[0] == "end") {
+        scan.saw_end = true;
+        break;
+      } else if (toks[0] == "gate") {
+        MnlGate gate = scan_gate(toks, scan.gates.size(), limits);
+        gate.line = scan.lines;
+        for (NetId net : gate.fanin) {
+          scan.num_nets = std::max(scan.num_nets, net + 1);
+        }
+        scan.num_nets = std::max(scan.num_nets, gate.fanout + 1);
+        scan.gates.push_back(std::move(gate));
+      } else {
+        bad_line("unknown record '" + toks[0] + "'");
+      }
+    } catch (const BadLine& bad) {
+      on_error(scan.lines, bad.what);
+      if (!saw_header) return scan;
     }
   }
+  if (!saw_header) {
+    on_error(scan.lines + 1, "empty input (expected 'mnl 1' header)");
+  }
+  return scan;
+}
 
-  Netlist nl;
-  // Deferred connections: gate id -> (fanout net, fanin nets).  Net ids in
-  // the file are dense indices; we materialize nets on first mention.
-  std::int32_t max_net = -1;
-  struct GateRec {
-    GateType type;
-    std::string name;
-    NetId out;
-    std::vector<NetId> in;
-  };
-  std::vector<GateRec> recs;
+Netlist read_mnl(std::istream& is, const ParseLimits& limits) {
+  const MnlScan scan =
+      scan_mnl(is, limits, [](int line_no, const std::string& what) {
+        parse_fail(line_no, what);
+      });
   // net -> line of the gate already driving it: two drivers on one net is a
   // short, not a netlist, so it is rejected at parse time.
-  std::vector<int> driver_line;
-  bool saw_design = false;
-
-  bool saw_end = false;
-  while (read_line(is, line, line_no, limits)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const auto toks = split_ws(line, line_no, limits);
-    if (toks.empty()) continue;
-    if (toks[0] == "design") {
-      if (toks.size() != 2) {
-        parse_fail(line_no, "bad design record (expected 'design <name>')");
-      }
-      if (saw_design) parse_fail(line_no, "duplicate design record");
-      saw_design = true;
-      nl.set_name(toks[1]);
-      continue;
-    }
-    if (toks[0] == "end") {
-      saw_end = true;
-      break;
-    }
-    if (toks[0] != "gate") {
-      parse_fail(line_no, "unknown record '" + toks[0] + "'");
-    }
-    if (toks.size() != 6) {
-      parse_fail(line_no, "truncated 'gate' record (expected 6 fields, got " +
-                              std::to_string(toks.size()) + ")");
-    }
-    const std::int32_t id = parse_i32(toks[1], line_no, "gate id");
-    if (id != static_cast<std::int32_t>(recs.size())) {
-      parse_fail(line_no, "gate ids must be dense and in order: expected " +
-                              std::to_string(recs.size()) + ", found " +
-                              std::to_string(id));
-    }
-    if (static_cast<std::int32_t>(recs.size()) >= limits.max_gates) {
-      parse_fail(line_no,
-                 limit_exceeded("gate count",
-                                static_cast<unsigned long long>(recs.size()) + 1,
-                                static_cast<unsigned long long>(
-                                    limits.max_gates)));
-    }
-    GateRec rec;
-    try {
-      rec.type = parse_gate_type(toks[2]);
-    } catch (const Error&) {
-      parse_fail(line_no, std::string("bad gate type '") + toks[2] + "'");
-    }
-    rec.name = toks[3];
-    if (toks[4].rfind("out=", 0) != 0 || toks[5].rfind("in=", 0) != 0) {
-      parse_fail(line_no, "bad out=/in= fields");
-    }
-    const std::string out_s = toks[4].substr(4);
-    rec.out = out_s == "-" ? kNullNet : parse_i32(out_s, line_no, "net id");
-    if (rec.out != kNullNet) {
-      if (rec.out < 0) {
-        parse_fail(line_no, "out-of-range net id " + std::to_string(rec.out));
-      }
-      // Validate against the policy cap BEFORE the id sizes driver_line (or,
-      // later, the net table): one record naming net 2^31-1 must reject
-      // here, not allocate a 2-billion-entry vector.
-      if (rec.out >= limits.max_nets) {
-        parse_fail(line_no,
-                   limit_exceeded("net id",
-                                  static_cast<unsigned long long>(rec.out),
-                                  static_cast<unsigned long long>(
-                                      limits.max_nets)));
-      }
-      max_net = std::max(max_net, rec.out);
-      if (static_cast<std::size_t>(rec.out) >= driver_line.size()) {
-        driver_line.resize(static_cast<std::size_t>(rec.out) + 1, 0);
-      }
-      int& owner = driver_line[static_cast<std::size_t>(rec.out)];
-      if (owner != 0) {
-        parse_fail(line_no, "net " + std::to_string(rec.out) +
+  std::vector<int> driver_line(static_cast<std::size_t>(scan.num_nets), 0);
+  for (const MnlGate& gate : scan.gates) {
+    if (gate.fanout == kNullNet) continue;
+    int& owner = driver_line[static_cast<std::size_t>(gate.fanout)];
+    if (owner != 0) {
+      parse_fail(gate.line, "net " + std::to_string(gate.fanout) +
                                 " already driven by the gate on line " +
                                 std::to_string(owner));
-      }
-      owner = line_no;
     }
-    const std::string in_s = toks[5].substr(3);
-    if (in_s != "-") {
-      std::istringstream iss(in_s);
-      std::string item;
-      while (std::getline(iss, item, ',')) {
-        const NetId n = parse_i32(item, line_no, "net id");
-        if (n < 0) {
-          parse_fail(line_no, "out-of-range net id " + std::to_string(n));
-        }
-        if (n >= limits.max_nets) {
-          parse_fail(line_no,
-                     limit_exceeded("net id",
-                                    static_cast<unsigned long long>(n),
-                                    static_cast<unsigned long long>(
-                                        limits.max_nets)));
-        }
-        if (rec.in.size() >= limits.max_fanin) {
-          parse_fail(line_no, limit_exceeded("gate fanin", rec.in.size() + 1,
-                                             limits.max_fanin));
-        }
-        rec.in.push_back(n);
-        max_net = std::max(max_net, n);
-      }
-    }
-    recs.push_back(std::move(rec));
+    owner = gate.line;
   }
-  M3DFL_REQUIRE(saw_end, "MNL: truncated (missing 'end' after line " +
-                             std::to_string(line_no) + ")");
+  M3DFL_REQUIRE(scan.saw_end, "MNL: truncated (missing 'end' after line " +
+                                  std::to_string(scan.lines) + ")");
 
-  for (std::int32_t n = 0; n <= max_net; ++n) nl.add_net();
-  for (const GateRec& rec : recs) {
-    const GateId g = nl.add_gate(rec.type, rec.name);
-    if (rec.out != kNullNet) nl.set_output(g, rec.out);
-    for (NetId n : rec.in) nl.connect_input(g, n);
+  Netlist nl(scan.design_name);
+  for (NetId n = 0; n < scan.num_nets; ++n) nl.add_net();
+  for (const MnlGate& gate : scan.gates) {
+    const GateId g = nl.add_gate(gate.type, gate.name);
+    if (gate.fanout != kNullNet) nl.set_output(g, gate.fanout);
+    for (NetId n : gate.fanin) nl.connect_input(g, n);
   }
   nl.finalize();
   return nl;

@@ -9,8 +9,10 @@
 #ifndef M3DFL_NETLIST_VERILOG_IO_H_
 #define M3DFL_NETLIST_VERILOG_IO_H_
 
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "netlist/netlist.h"
 #include "util/limits.h"
@@ -21,11 +23,40 @@ namespace m3dfl {
 void write_mnl(const Netlist& netlist, std::ostream& os);
 std::string to_mnl(const Netlist& netlist);
 
-// Parses MNL text back into a finalized netlist; throws m3dfl::Error on
-// malformed input.  `limits` bounds adversarial-but-well-formed input:
-// line length, tokens per line, gate/net counts, and per-gate fanin are
-// all enforced with line-cited "limit exceeded" diagnostics, and a net id
-// is validated against max_nets *before* any table is sized by it.
+// One gate record as the MNL scanner read it.  Ids are validated (dense
+// gate ids, net ids in [0, max_nets)); netlist invariants such as one
+// driver per net are not — that is for the caller to enforce or diagnose.
+struct MnlGate {
+  GateType type = GateType::kBuf;
+  std::string name;
+  std::vector<NetId> fanin;  // in pin order
+  NetId fanout = kNullNet;
+  int line = 0;              // 1-based source line, 0 = not from a file
+};
+
+struct MnlScan {
+  std::string design_name;
+  std::vector<MnlGate> gates;
+  NetId num_nets = 0;  // 1 + the largest net id any record names
+  bool saw_end = false;
+  int lines = 0;       // lines read, up to and including 'end'
+};
+
+// Reports one bad line: its 1-based number and what is wrong with it.
+using MnlLineError = std::function<void(int line, const std::string& what)>;
+
+// The one MNL tokenizer, shared by read_mnl and the lint engine.  Every
+// line it cannot take — malformed, or past a `limits` cap (line bytes,
+// tokens per line, gate count, net id, fanin) — goes to `on_error`, and the
+// scan skips it; a bad or missing header ends the scan.  Net ids are
+// checked against max_nets before anything is sized by them.  `on_error`
+// may throw to stop at the first report.
+MnlScan scan_mnl(std::istream& is, const ParseLimits& limits,
+                 const MnlLineError& on_error);
+
+// Parses MNL text back into a finalized netlist; throws m3dfl::Error
+// ("MNL line N: ...") on the first line scan_mnl reports, on a net with two
+// drivers, and on a missing 'end'.
 Netlist read_mnl(std::istream& is, const ParseLimits& limits = {});
 Netlist from_mnl(const std::string& text, const ParseLimits& limits = {});
 

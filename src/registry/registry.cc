@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "lint/lint.h"
-#include "util/artifact.h"
 #include "util/error.h"
 #include "util/limits.h"
 
@@ -177,8 +176,7 @@ void ModelRegistry::rescan_locked() {
 ModelRegistry::FileStamp ModelRegistry::stat_locked(
     const std::string& path) const {
   if (options_.fault_injector != nullptr &&
-      options_.fault_injector->should_fail(
-          static_cast<int>(RegistrySeam::kStat))) {
+      options_.fault_injector->should_fail(RegistrySeam::kStat)) {
     throw Error("m3dfl: injected registry stat fault on '" + path + "'");
   }
   std::error_code ec;
@@ -202,24 +200,18 @@ ModelRegistry::FileStamp ModelRegistry::stat_locked(
 std::shared_ptr<const LoadedModel> ModelRegistry::load_locked(
     const std::string& design, std::int32_t version, const std::string& path) {
   if (options_.fault_injector != nullptr &&
-      options_.fault_injector->should_fail(
-          static_cast<int>(RegistrySeam::kLoad))) {
+      options_.fault_injector->should_fail(RegistrySeam::kLoad)) {
     throw Error("m3dfl: injected registry load fault on '" + path + "'");
   }
   const std::string bytes = read_file_bytes(path);
-  if (!is_artifact(bytes)) {
-    throw Error(
-        "m3dfl: registry artifact '" + path +
-        "' is not a format-" + std::to_string(kArtifactVersion) +
-        " container; convert legacy streams with `m3dfl_tool migrate-artifact`");
-  }
   auto model = std::make_shared<LoadedModel>();
   model->design = design;
   model->version = version;
   model->path = path;
   model->resident_bytes = bytes.size();
   // The container checksum/structure checks (and the framework's own shape
-  // checks) run inside load(); any violation throws with `path` cited.
+  // checks) run inside load(); any violation throws with `path` cited, and a
+  // bare format-1 stream is told to run `m3dfl_tool migrate-artifact`.
   std::istringstream is(bytes);
   model->framework.load(is, path);
   if (options_.lint_models) {

@@ -10,9 +10,6 @@ const char* seam_name(Seam seam) {
     case Seam::kModelPredict: return "model-predict";
     case Seam::kFrameworkLoad: return "framework-load";
     case Seam::kAdmissionLint: return "admission-lint";
-    case Seam::kStreamStall: return "stream-stall";
-    case Seam::kStreamGarble: return "stream-garble";
-    case Seam::kStreamReorder: return "stream-reorder";
     case Seam::kStreamDisconnect: return "stream-disconnect";
     case Seam::kJournalTornWrite: return "journal-torn-write";
     case Seam::kJournalFsync: return "journal-fsync";
@@ -20,6 +17,14 @@ const char* seam_name(Seam seam) {
     case Seam::kStreamMalformedBytes: return "stream-malformed-bytes";
   }
   return "unknown";
+}
+
+void maybe_throw(FaultInjector& injector, Seam seam, const std::string& what) {
+  if (!injector.should_fail(seam)) return;
+  if (injector.kind<FaultKind>(seam) == FaultKind::kModelUnavailable) {
+    throw ModelUnavailableError(what);
+  }
+  throw TransientError(what);
 }
 
 }  // namespace m3dfl::serve

@@ -1,19 +1,15 @@
-// Typed fault-injection wrapper for the serving layer.
+// The serving layer's fault-injection seams.
 //
 // The deterministic trigger machinery (per-seam xoshiro streams, scripted
-// nth-call triggers, exact accounting) lives in util/fault_injector.h since
-// PR 3 so the training kill–resume harness shares it; this header keeps the
-// serving-specific surface: the Seam enum naming the service's failure
-// seams, the FaultKind that selects which typed error maybe_throw() raises
-// (which in turn selects the service's response — retry vs degrade), and
-// enum-typed forwarders, so existing serve code and tests compile
-// unchanged.
+// nth-call triggers, exact accounting) is util/fault_injector.h's
+// FaultInjector, which serve code calls with the Seam enum below.  This
+// header names the service's failure seams, the FaultKind that selects
+// which typed error maybe_throw() raises (which in turn selects the
+// service's response — retry vs degrade), and maybe_throw() itself.
 #ifndef M3DFL_SERVE_FAULT_INJECTOR_H_
 #define M3DFL_SERVE_FAULT_INJECTOR_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "serve/status.h"
 #include "util/fault_injector.h"
@@ -32,26 +28,22 @@ enum class Seam : int {
   // Streaming-session seams (serve/session.h).  These do not throw typed
   // errors; the session layer consults should_fail() and maps a trigger to
   // the corresponding stream failure deterministically:
-  kStreamStall = 6,      // feed stalls past the idle deadline -> expiry
-  kStreamGarble = 7,     // record arrives garbled -> line-cited rejection
-  kStreamReorder = 8,    // record arrives out of order -> line-cited rejection
-  kStreamDisconnect = 9, // tester drops the connection -> session teardown
+  kStreamDisconnect = 6,  // tester drops the connection -> session expiry
   // Session-journal seams (serve/journal.h).  Like the stream seams these
   // never throw; the journal maps a trigger to the corresponding storage
   // failure deterministically and the serving request always succeeds:
-  kJournalTornWrite = 10, // crash/full disk mid-frame -> prefix on disk,
+  kJournalTornWrite = 7,  // crash/full disk mid-frame -> prefix on disk,
                           // event counted lost, segment sealed
-  kJournalFsync = 11,     // fsync fails -> degrade to non-durable
-  kJournalCorrupt = 12,   // silent media bit-flip -> CRC mismatch at scan
+  kJournalFsync = 8,      // fsync fails -> degrade to non-durable
+  kJournalCorrupt = 9,    // silent media bit-flip -> CRC mismatch at scan
   // Adversarial-input seam: the incoming line is replaced with deterministic
   // malformed bytes (NUL injection, trailing garbage, an over-limit line, a
   // huge numeric field) *before* parsing, so chaos runs exercise the real
-  // parser/limit rejection paths — unlike kStreamGarble, which models a
-  // record that fails parse in one fixed way.
-  kStreamMalformedBytes = 13,
+  // parser/limit rejection paths -> line-cited record rejection.
+  kStreamMalformedBytes = 10,
 };
 
-inline constexpr int kNumSeams = 14;
+inline constexpr int kNumSeams = 11;
 
 const char* seam_name(Seam seam);
 
@@ -61,44 +53,9 @@ enum class FaultKind {
   kModelUnavailable,  // serve::ModelUnavailableError -> degrade path
 };
 
-class FaultInjector : public ::m3dfl::FaultInjector {
- public:
-  explicit FaultInjector(std::uint64_t seed = 0xC4A05u)
-      : ::m3dfl::FaultInjector(kNumSeams, seed) {}
-
-  void arm(Seam seam, double probability,
-           FaultKind kind = FaultKind::kTransient) {
-    ::m3dfl::FaultInjector::arm(static_cast<int>(seam), probability,
-                                static_cast<int>(kind));
-  }
-  void arm_nth(Seam seam, std::vector<std::uint64_t> calls,
-               FaultKind kind = FaultKind::kTransient) {
-    ::m3dfl::FaultInjector::arm_nth(static_cast<int>(seam), std::move(calls),
-                                    static_cast<int>(kind));
-  }
-
-  bool should_fail(Seam seam) {
-    return ::m3dfl::FaultInjector::should_fail(static_cast<int>(seam));
-  }
-  // should_fail() + throws the seam's typed error when triggered.
-  void maybe_throw(Seam seam, const std::string& what) {
-    const FaultKind kind =
-        static_cast<FaultKind>(::m3dfl::FaultInjector::kind(
-            static_cast<int>(seam)));
-    if (!should_fail(seam)) return;
-    if (kind == FaultKind::kModelUnavailable) {
-      throw ModelUnavailableError(what);
-    }
-    throw TransientError(what);
-  }
-
-  std::int64_t calls(Seam seam) const {
-    return ::m3dfl::FaultInjector::calls(static_cast<int>(seam));
-  }
-  std::int64_t triggered(Seam seam) const {
-    return ::m3dfl::FaultInjector::triggered(static_cast<int>(seam));
-  }
-};
+// injector.should_fail(seam), throwing the seam's typed error (by the
+// FaultKind it was armed with) when it triggers.
+void maybe_throw(FaultInjector& injector, Seam seam, const std::string& what);
 
 }  // namespace m3dfl::serve
 

@@ -57,8 +57,8 @@ DiagnosisService::LoadedFramework DiagnosisService::load_framework(
   LoadedFramework loaded;
   try {
     if (options.fault_injector != nullptr) {
-      options.fault_injector->maybe_throw(Seam::kFrameworkLoad,
-                                          "injected framework-load fault");
+      maybe_throw(*options.fault_injector, Seam::kFrameworkLoad,
+                  "injected framework-load fault");
     }
     auto framework = std::make_shared<DiagnosisFramework>();
     framework->load(is);
@@ -507,7 +507,8 @@ StatusCode DiagnosisService::attempt_once(Request& request,
     const std::string key =
         DiagnosisCache::make_key(request.design_id, request.log);
     if (injector != nullptr) {
-      injector->maybe_throw(Seam::kCacheLookup, "injected cache lookup fault");
+      maybe_throw(*injector, Seam::kCacheLookup,
+                  "injected cache lookup fault");
     }
     entry = cache_.lookup(key);
     result.cache_hit = entry != nullptr;
@@ -571,8 +572,8 @@ StatusCode DiagnosisService::attempt_once(Request& request,
           metrics_->atpg.record(result.atpg_seconds);
 
           if (injector != nullptr) {
-            injector->maybe_throw(Seam::kCacheInsert,
-                                  "injected cache insert fault");
+            maybe_throw(*injector, Seam::kCacheInsert,
+                        "injected cache insert fault");
           }
           entry = fresh;
           cache_.insert(key, entry);
@@ -635,7 +636,7 @@ StatusCode DiagnosisService::attempt_once(Request& request,
     // cached base report, the models are shared read-only.
     const Clock::time_point t_inf = Clock::now();
     if (injector != nullptr) {
-      injector->maybe_throw(Seam::kModelPredict, "injected model fault");
+      maybe_throw(*injector, Seam::kModelPredict, "injected model fault");
     }
     result.report = entry->base_report;
     result.pruned = framework_->diagnose(ctx, entry->subgraph, entry->adjacency,

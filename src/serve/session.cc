@@ -154,7 +154,7 @@ bool SessionManager::expired(const Session& s, Clock::time_point now) {
          ms_between(s.opened, now) > s.max_lifetime_ms;
 }
 
-void SessionManager::expire_locked(std::uint64_t id, const std::string&) {
+void SessionManager::expire_locked(std::uint64_t id) {
   sessions_.erase(id);
   metrics_.sessions_expired.fetch_add(1, std::memory_order_relaxed);
   if (journal_ != nullptr) journal_->append_close(id, "expired");
@@ -182,27 +182,20 @@ SessionUpdate SessionManager::add_response(std::uint64_t session_id,
   if (it == sessions_.end()) return dead_session(session_id);
   Session& s = *it->second;
 
-  // Real deadlines first, then the injected ones: kStreamStall models a
-  // feed that stalled past its idle deadline, kStreamDisconnect a tester
-  // that dropped the connection.  Both resolve the session as expired —
-  // deterministically, with no wall-clock involved.
+  // Real deadlines first, then the injected one: kStreamDisconnect models
+  // a tester that dropped the connection (or a feed stalled past its idle
+  // deadline — the same state change).  Both resolve the session as
+  // expired — deterministically, with no wall-clock involved.
   if (expired(s, now)) {
-    expire_locked(session_id, "deadline");
+    expire_locked(session_id);
     SessionUpdate update = dead_session(session_id);
     update.message = "session " + std::to_string(session_id) +
                      " expired (idle/lifetime deadline passed)";
     return update;
   }
-  if (injector_ != nullptr && injector_->should_fail(Seam::kStreamStall)) {
-    expire_locked(session_id, "stall");
-    SessionUpdate update = dead_session(session_id);
-    update.message = "session " + std::to_string(session_id) +
-                     " expired (injected stream stall past idle deadline)";
-    return update;
-  }
   if (injector_ != nullptr &&
       injector_->should_fail(Seam::kStreamDisconnect)) {
-    expire_locked(session_id, "disconnect");
+    expire_locked(session_id);
     SessionUpdate update = dead_session(session_id);
     update.message = "session " + std::to_string(session_id) +
                      " torn down (injected stream disconnect)";
@@ -238,22 +231,6 @@ SessionUpdate SessionManager::add_response(std::uint64_t session_id,
       s.rehabilitations_reported = snap.rehabilitations;
     }
   };
-
-  // Injected record corruption: the seams reject deterministically with the
-  // same line-cited shape real garble/reorder rejections use; the session
-  // stays live.
-  if (injector_ != nullptr && injector_->should_fail(Seam::kStreamGarble)) {
-    reject_record("stream line " + std::to_string(s.line_no) +
-                  ": injected garbled record");
-    fill_snapshot();
-    return update;
-  }
-  if (injector_ != nullptr && injector_->should_fail(Seam::kStreamReorder)) {
-    reject_record("stream line " + std::to_string(s.line_no) +
-                  ": injected out-of-order record");
-    fill_snapshot();
-    return update;
-  }
 
   // Adversarial-input seam: replace the line with deterministic malformed
   // bytes and let the REAL parser and limit guardrails reject it — every
@@ -357,7 +334,7 @@ std::future<DiagnosisResult> SessionManager::finalize(
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = sessions_.find(session_id);
     if (it != sessions_.end() && expired(*it->second, now)) {
-      expire_locked(session_id, "deadline");
+      expire_locked(session_id);
     }
     const auto again = sessions_.find(session_id);
     if (again == sessions_.end()) {

@@ -22,10 +22,11 @@
 //    touch) or sheds the new one with kOverloaded.
 //  * Malformed, duplicate, and out-of-order records are rejected with
 //    line-cited messages; the session survives and keeps accepting.
-//  * FaultInjector seams kStreamStall / kStreamGarble / kStreamReorder /
-//    kStreamDisconnect map deterministically to expiry, rejection,
-//    rejection, and teardown — the stream-chaos harness reconciles trigger
-//    counts against session metrics exactly.
+//  * FaultInjector seams kStreamDisconnect and kStreamMalformedBytes
+//    (serve/fault_injector.h) map deterministically to expiry and to a
+//    line-cited rejection through the real record parser — the
+//    stream-chaos harness reconciles trigger counts against session
+//    metrics exactly.
 //
 // Accounting invariant (asserted by tests/stream_chaos_test.cc): every
 // admitted session resolves exactly once —
@@ -222,7 +223,7 @@ class SessionManager {
   // True when `s` is past either deadline at `now`.
   static bool expired(const Session& s, Clock::time_point now);
   // Removes + counts an expired/disconnected session.  Caller holds mu_.
-  void expire_locked(std::uint64_t id, const std::string& why);
+  void expire_locked(std::uint64_t id);
   SessionUpdate dead_session(std::uint64_t session_id) const;
 
   // Builds the Session shell (design refs, stream state, deadlines) shared

@@ -92,7 +92,9 @@ std::string read_artifact(std::string_view text, const std::string& kind,
     if (magic != kArtifactMagic) {
       artifact_fail(source, header_offset,
                     "bad magic: expected '" + std::string(kArtifactMagic) +
-                        "', found '" + magic + "'");
+                        "', found '" + magic +
+                        "' (if this is a format-1 model stream, convert it "
+                        "with `m3dfl_tool migrate-artifact`)");
     }
     std::string version;
     hs >> version;

@@ -18,9 +18,11 @@
 // every truncation of a saved artifact.
 //
 // Version history: "1" is the pre-container era (bare "m3dfl-model 1" /
-// "m3dfl-framework 1" streams); those still load through the legacy shims in
-// gnn/serialize.cc and core/framework.cc.  "2" is this envelope; the payload
-// it carries is exactly a version-1 stream, so one inner parser serves both.
+// "m3dfl-framework 1" streams).  "2" is this envelope; the payload it carries
+// is exactly a version-1 stream.  Every load path accepts only "2": a bare
+// format-1 stream fails the magic check with a hint naming
+// `m3dfl_tool migrate-artifact`, and migrate_artifact() (core/framework.h)
+// is the one place that converts it.
 #ifndef M3DFL_UTIL_ARTIFACT_H_
 #define M3DFL_UTIL_ARTIFACT_H_
 
@@ -54,8 +56,8 @@ std::string read_artifact(std::string_view text, const std::string& kind,
                           const ParseLimits& limits = {});
 
 // True when `text` starts with the container magic (i.e. is a version >= 2
-// artifact rather than a bare legacy stream).  Used by the legacy shims to
-// dispatch.
+// artifact rather than a bare format-1 stream).  Used by migrate_artifact()
+// to tell the two apart.
 bool is_artifact(std::string_view text);
 
 // Reads the remainder of `is` into a string (artifact parsing operates on

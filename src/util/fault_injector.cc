@@ -17,36 +17,36 @@ FaultInjector::FaultInjector(int num_seams, std::uint64_t seed) {
   }
 }
 
-FaultInjector::SeamState& FaultInjector::seam_at(int seam) {
-  M3DFL_REQUIRE(seam >= 0 && seam < num_seams(),
-                "fault injector seam " + std::to_string(seam) +
+FaultInjector::SeamState& FaultInjector::seam_at(Id seam) {
+  M3DFL_REQUIRE(seam.value >= 0 && seam.value < num_seams(),
+                "fault injector seam " + std::to_string(seam.value) +
                     " out of range [0, " + std::to_string(num_seams()) + ")");
-  return seams_[static_cast<std::size_t>(seam)];
+  return seams_[static_cast<std::size_t>(seam.value)];
 }
 
-const FaultInjector::SeamState& FaultInjector::seam_at(int seam) const {
+const FaultInjector::SeamState& FaultInjector::seam_at(Id seam) const {
   return const_cast<FaultInjector*>(this)->seam_at(seam);
 }
 
-void FaultInjector::arm(int seam, double probability, int kind) {
+void FaultInjector::arm(Id seam, double probability, Id kind) {
   M3DFL_REQUIRE(probability >= 0.0 && probability <= 1.0,
                 "fault probability must be in [0, 1]");
   std::lock_guard<std::mutex> lock(mu_);
   SeamState& state = seam_at(seam);
   state.probability = probability;
-  state.kind = kind;
+  state.kind = kind.value;
 }
 
-void FaultInjector::arm_nth(int seam, std::vector<std::uint64_t> calls,
-                            int kind) {
+void FaultInjector::arm_nth(Id seam, std::vector<std::uint64_t> calls,
+                            Id kind) {
   std::lock_guard<std::mutex> lock(mu_);
   SeamState& state = seam_at(seam);
   state.nth = std::set<std::uint64_t>(calls.begin(), calls.end());
   M3DFL_REQUIRE(state.nth.count(0) == 0, "scripted trigger calls are 1-based");
-  state.kind = kind;
+  state.kind = kind.value;
 }
 
-bool FaultInjector::should_fail(int seam) {
+bool FaultInjector::should_fail(Id seam) {
   std::lock_guard<std::mutex> lock(mu_);
   SeamState& state = seam_at(seam);
   ++state.num_calls;
@@ -60,17 +60,17 @@ bool FaultInjector::should_fail(int seam) {
   return fail;
 }
 
-int FaultInjector::kind(int seam) const {
+int FaultInjector::kind_value(Id seam) const {
   std::lock_guard<std::mutex> lock(mu_);
   return seam_at(seam).kind;
 }
 
-std::int64_t FaultInjector::calls(int seam) const {
+std::int64_t FaultInjector::calls(Id seam) const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<std::int64_t>(seam_at(seam).num_calls);
 }
 
-std::int64_t FaultInjector::triggered(int seam) const {
+std::int64_t FaultInjector::triggered(Id seam) const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<std::int64_t>(seam_at(seam).num_triggered);
 }

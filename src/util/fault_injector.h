@@ -1,13 +1,13 @@
-// Deterministic fault injection, shared by the serving and training chaos
-// harnesses.
+// Deterministic fault injection, shared by the serving, registry and
+// training chaos harnesses.
 //
 // Resilience is only a property you have if you can test it.  The injector
 // is threaded through a subsystem's failure seams and decides, per call,
-// whether that seam should fail.  Seams are dense integer ids; each consumer
-// defines its own enum over them (serve::Seam for the serving runtime,
-// TrainSeam for the training chaos harness) and interprets the armed `kind`
-// however it likes (the serving wrapper maps it to which typed error to
-// throw).  Two trigger modes:
+// whether that seam should fail.  Seams are dense ids from 0; each consumer
+// names its own with an enum (serve::Seam, registry::RegistrySeam,
+// TrainSeam) and passes it straight in, and may arm a seam with a `kind`
+// enum that it reads back to decide how the failure shows (serve::FaultKind
+// selects which typed error serve::maybe_throw raises).  Two trigger modes:
 //
 //   * probabilistic: arm(seam, p) — each call fails with probability p,
 //     drawn from a per-seam xoshiro stream seeded from the injector seed.
@@ -18,16 +18,13 @@
 //   * scripted: arm_nth(seam, {3, 7}) — exactly the 3rd and 7th call fail.
 //     Used to pin one specific failure ("kill training at epoch 3",
 //     "first predict fails, retry succeeds") in unit tests.
-//
-// This generic core lived in src/serve/ through PR 2; it moved here so the
-// training kill–resume harness and the serving chaos test share one
-// implementation.  serve::FaultInjector remains as a thin typed wrapper.
 #ifndef M3DFL_UTIL_FAULT_INJECTOR_H_
 #define M3DFL_UTIL_FAULT_INJECTOR_H_
 
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "util/rng.h"
@@ -36,6 +33,7 @@ namespace m3dfl {
 
 class FaultInjector {
  public:
+  // `num_seams` is one more than the largest seam id the consumer uses.
   explicit FaultInjector(int num_seams, std::uint64_t seed = 0xC4A05u);
 
   FaultInjector(const FaultInjector&) = delete;
@@ -43,18 +41,29 @@ class FaultInjector {
 
   int num_seams() const { return static_cast<int>(seams_.size()); }
 
-  // Arms a seam to fail each call with probability `probability`.  `kind` is
-  // an opaque consumer-defined tag reported back by kind().
-  void arm(int seam, double probability, int kind = 0);
+  // A seam or a kind: a consumer's enum (or a plain int), as its id.
+  struct Id {
+    template <class E>
+      requires std::is_enum_v<E> || std::is_integral_v<E>
+    Id(E e) : value(static_cast<int>(e)) {}  // implicit on purpose
+    int value;
+  };
+
+  // Arms a seam to fail each call with probability `probability`; `kind` is
+  // reported back by kind().
+  void arm(Id seam, double probability, Id kind = 0);
   // Arms a seam to fail exactly on the given 1-based call numbers.
-  void arm_nth(int seam, std::vector<std::uint64_t> calls, int kind = 0);
+  void arm_nth(Id seam, std::vector<std::uint64_t> calls, Id kind = 0);
 
   // Counts one call to `seam` and reports whether it should fail.
-  bool should_fail(int seam);
+  bool should_fail(Id seam);
 
-  int kind(int seam) const;
-  std::int64_t calls(int seam) const;
-  std::int64_t triggered(int seam) const;
+  template <class Kind>
+  Kind kind(Id seam) const {
+    return static_cast<Kind>(kind_value(seam));
+  }
+  std::int64_t calls(Id seam) const;
+  std::int64_t triggered(Id seam) const;
   std::int64_t total_triggered() const;
 
  private:
@@ -67,8 +76,9 @@ class FaultInjector {
     Rng rng;
   };
 
-  SeamState& seam_at(int seam);
-  const SeamState& seam_at(int seam) const;
+  int kind_value(Id seam) const;
+  SeamState& seam_at(Id seam);
+  const SeamState& seam_at(Id seam) const;
 
   mutable std::mutex mu_;
   std::vector<SeamState> seams_;

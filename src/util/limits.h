@@ -43,9 +43,6 @@ struct ParseLimits {
   // ---- netlist (MNL) structural caps -------------------------------------
   std::int32_t max_gates = 4'194'304;  // ~12x the largest Table III design
   std::int32_t max_nets = 8'388'608;
-  // Reserved for M3D netlist extensions that declare MIVs in text form;
-  // today MIVs derive from partitioning and never cross a parse boundary.
-  std::int32_t max_mivs = 1'048'576;
   // Fanin nets on one gate record (also the only nesting-like dimension any
   // of the line-oriented grammars has).
   std::size_t max_fanin = 1024;

@@ -90,7 +90,7 @@ class ChaosTest : public ::testing::Test {
   }
 
   // Arms every seam a request crosses; ~33% of requests see a fault.
-  static void arm_all_seams(serve::FaultInjector& injector) {
+  static void arm_all_seams(FaultInjector& injector) {
     injector.arm(serve::Seam::kQueueAdmit, 0.08);
     injector.arm(serve::Seam::kCacheLookup, 0.10);
     injector.arm(serve::Seam::kCacheInsert, 0.08);
@@ -109,7 +109,7 @@ class ChaosTest : public ::testing::Test {
   // the accounting assertions need.  Fails the test on a lost or duplicated
   // sequence.
   static RunOutcome run_chaos(const serve::ServiceOptions& options,
-                              const std::shared_ptr<serve::FaultInjector>&
+                              const std::shared_ptr<FaultInjector>&
                                   injector) {
     RunOutcome outcome;
     serve::DiagnosisService service = make_service(options);
@@ -159,7 +159,7 @@ TEST_F(ChaosTest, EightWorkerChaosRunHasExactAccounting) {
   const std::int64_t total =
       static_cast<std::int64_t>(logs_->size());
 
-  auto injector = std::make_shared<serve::FaultInjector>(0xC4A05);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 0xC4A05);
   arm_all_seams(*injector);
   serve::ServiceOptions options;
   options.num_threads = 8;
@@ -223,7 +223,7 @@ TEST_F(ChaosTest, EightWorkerChaosRunHasExactAccounting) {
 
   // A rerun with the same seeds reproduces the run exactly: per-seam
   // trigger counts, per-status counts, and the surviving responses.
-  auto injector2 = std::make_shared<serve::FaultInjector>(0xC4A05);
+  auto injector2 = std::make_shared<FaultInjector>(serve::kNumSeams, 0xC4A05);
   arm_all_seams(*injector2);
   serve::ServiceOptions options2 = options;
   options2.fault_injector = injector2;
@@ -243,7 +243,7 @@ TEST_F(ChaosTest, EightWorkerChaosRunHasExactAccounting) {
 }
 
 TEST_F(ChaosTest, TotalModelOutageDegradesEveryRequest) {
-  auto injector = std::make_shared<serve::FaultInjector>(0xC4A05);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 0xC4A05);
   injector->arm(serve::Seam::kModelPredict, 1.0,
                 serve::FaultKind::kModelUnavailable);
   serve::ServiceOptions options;
@@ -278,7 +278,7 @@ TEST_F(ChaosTest, TotalModelOutageDegradesEveryRequest) {
 }
 
 TEST_F(ChaosTest, RetriesRideOutChaosWithoutChangingAnswers) {
-  auto injector = std::make_shared<serve::FaultInjector>(0xC4A05);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 0xC4A05);
   // Transient-only chaos (admission sheds are terminal, not retryable).
   injector->arm(serve::Seam::kCacheLookup, 0.10);
   injector->arm(serve::Seam::kCacheInsert, 0.08);

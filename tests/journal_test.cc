@@ -151,7 +151,7 @@ TEST(JournalTest, RotatesSegmentsBySize) {
 
 TEST(JournalTest, TornWriteCountsTheLossAndSealsTheSegment) {
   const std::string dir = scratch_dir("torn");
-  FaultInjector injector;
+  FaultInjector injector(kNumSeams);
   injector.arm_nth(Seam::kJournalTornWrite, {2});  // tear the 2nd append
   Metrics metrics;
   JournalOptions options;
@@ -182,7 +182,7 @@ TEST(JournalTest, TornWriteCountsTheLossAndSealsTheSegment) {
 
 TEST(JournalTest, FsyncFailureDegradesToNonDurable) {
   const std::string dir = scratch_dir("fsync");
-  FaultInjector injector;
+  FaultInjector injector(kNumSeams);
   injector.arm_nth(Seam::kJournalFsync, {1});
   Metrics metrics;
   JournalOptions options;
@@ -199,7 +199,7 @@ TEST(JournalTest, FsyncFailureDegradesToNonDurable) {
 
 TEST(JournalTest, CorruptWriteIsCaughtByTheScanChecksum) {
   const std::string dir = scratch_dir("corrupt");
-  FaultInjector injector;
+  FaultInjector injector(kNumSeams);
   injector.arm_nth(Seam::kJournalCorrupt, {2});
   JournalOptions options;
   options.injector = &injector;

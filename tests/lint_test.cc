@@ -208,7 +208,8 @@ INSTANTIATE_TEST_SUITE_P(
         CorpusCase{"floating_pin.mnl", "net-floating-pin",
                    "floating_pin.mnl:6"},
         CorpusCase{"unreachable.mnl", "net-unreachable", "unreachable.mnl"},
-        CorpusCase{"syntax.mnl", "mnl-syntax", "syntax.mnl:9"}));
+        CorpusCase{"syntax.mnl", "mnl-syntax", "syntax.mnl:9"},
+        CorpusCase{"net_id_bomb.mnl", "mnl-syntax", "net_id_bomb.mnl:3"}));
 
 TEST(LintCorpusTest, MultiDriverCitesEveryDriverLine) {
   const Report report = lint_corpus_file("multi_driver.mnl");
@@ -229,6 +230,29 @@ TEST(LintCorpusTest, SyntaxFixtureFlagsBothBadRecords) {
   EXPECT_EQ(syntax, 2) << report.to_string();  // "wire" record + FROB gate
   // The skipped FROB gate leaves net 1 undriven.
   EXPECT_TRUE(report.contains("net-undriven"));
+}
+
+// Lint scans with read_mnl's scanner, so every ParseLimits cap applies (the
+// net_id_bomb.mnl corpus case covers the net id cap).
+TEST(LintCorpusTest, ScannerLimitsApplyAndTheBadLinesAreSkipped) {
+  // An over-long line and token spam each cost one diagnostic at their
+  // line; the gates around them still reach the netlist checks.
+  std::string spam;
+  for (int i = 0; i < 5000; ++i) spam += "t ";
+  const std::string text = "mnl 1\ngate 0 PI a out=0 in=-\n# " +
+                           std::string(70 * 1024, 'x') + "\n" + spam +
+                           "\ngate 1 PO y out=- in=0\nend\n";
+  const Report report = lint::lint_mnl(text, "spam.mnl");
+  std::vector<std::string> locations;
+  for (const lint::Diagnostic& d : report.diagnostics()) {
+    EXPECT_EQ(d.check_id, "mnl-syntax") << d.message;
+    EXPECT_NE(d.message.find("limit exceeded"), std::string::npos)
+        << d.message;
+    locations.push_back(d.location);
+  }
+  EXPECT_EQ(locations,
+            (std::vector<std::string>{"spam.mnl:3", "spam.mnl:4"}))
+      << report.to_string();
 }
 
 TEST(LintCorpusTest, UnreachableIslandIsWarnedAndItsLoopIsAnError) {

@@ -256,7 +256,7 @@ TEST_F(RecoveryChaosTest, TornTailRecoversTheValidPrefix) {
   serve::SessionManagerOptions mgr;
   mgr.journal_dir = dir;
   {
-    auto injector = std::make_shared<serve::FaultInjector>();
+    auto injector = std::make_shared<FaultInjector>(serve::kNumSeams);
     // Appends run open, line 1, line 2, ...; tear the last one so the
     // journal ends mid-frame exactly as a crash mid-write would leave it.
     injector->arm_nth(serve::Seam::kJournalTornWrite, {k + 1});

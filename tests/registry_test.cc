@@ -304,16 +304,12 @@ TEST_F(RegistryTest, LegacyFormat1FilesAreRejectedWithMigrationHint) {
               std::string::npos)
         << e.what();
   }
-  // The migrated form (what `m3dfl_tool migrate-artifact` writes: load via
-  // the legacy shim, save as a container) is accepted.
-  DiagnosisFramework migrated;
-  {
-    std::istringstream is(read_artifact(*artifact_, kFrameworkKind, "<test>"));
-    migrated.load(is, "<legacy>");
-  }
-  std::ostringstream os;
-  migrated.save(os);
-  publish("aes", 1, os.str());
+  // The migrated form (what `m3dfl_tool migrate-artifact` writes) is
+  // accepted.
+  publish("aes", 1,
+          migrate_artifact(read_artifact(*artifact_, kFrameworkKind, "<test>"),
+                           "<legacy>")
+              .bytes);
   EXPECT_EQ(registry.acquire("aes")->generation, 1u);
 }
 
@@ -324,7 +320,7 @@ TEST_F(RegistryTest, InjectedLoadFaultFailsReloadButNotTheOldModel) {
       std::make_shared<FaultInjector>(registry::kNumRegistrySeams, 0xF00D);
   // Exactly the second load call (the reload) fails.
   options.fault_injector->arm_nth(
-      static_cast<int>(registry::RegistrySeam::kLoad), {2});
+      registry::RegistrySeam::kLoad, {2});
   ModelRegistry registry(dir_.string(), options);
   const auto before = registry.acquire("aes");
   publish("aes", 1, variant_artifact(0.75));

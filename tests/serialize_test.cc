@@ -262,21 +262,8 @@ TEST(SerializeTest, RejectsTrailingGarbageAfterTrailer) {
   EXPECT_THROW(tier_predictor_from_string(good + "\n"), Error);
 }
 
-// The migration shim: a bare pre-container stream (exactly the payload the
-// container wraps) still loads.
-TEST(SerializeTest, LegacyBareStreamStillLoads) {
-  TierPredictor model(small_config());
-  const std::string wrapped = tier_predictor_to_string(model);
-  const std::string legacy =
-      read_artifact(wrapped, kTierPredictorKind, "<test>");
-  ASSERT_FALSE(is_artifact(legacy));
-  ASSERT_EQ(legacy.rfind("m3dfl-model 1 tier-predictor", 0), 0u);
-  const TierPredictor restored = tier_predictor_from_string(legacy);
-  EXPECT_EQ(tier_predictor_to_string(restored), wrapped);
-}
-
-TEST(SerializeTest, LegacyFrameworkStreamStillLoads) {
-  Rng rng(11);
+DiagnosisFramework trained_framework(std::uint64_t seed) {
+  Rng rng(seed);
   std::vector<Subgraph> train;
   for (int i = 0; i < 20; ++i) train.push_back(toy_graph(rng, i % 2));
   FrameworkOptions options;
@@ -284,17 +271,115 @@ TEST(SerializeTest, LegacyFrameworkStreamStillLoads) {
   options.training.epochs = 10;
   DiagnosisFramework framework(options);
   framework.train(train);
+  return framework;
+}
 
+std::string framework_to_string(const DiagnosisFramework& framework) {
   std::ostringstream os;
   framework.save(os);
-  const std::string legacy =
-      read_artifact(os.str(), kFrameworkKind, "<test>");
-  ASSERT_EQ(legacy.rfind("m3dfl-framework 1", 0), 0u);
-  std::istringstream is(legacy);
-  DiagnosisFramework restored(options);
+  return os.str();
+}
+
+// Format 1 is the container's bare payload, from before the container.
+std::string format1(const std::string& container, const std::string& kind) {
+  return read_artifact(container, kind, "<test>");
+}
+
+// The load path knows only the container; a bare format-1 stream is
+// rejected with a hint naming the migration command.
+TEST(SerializeTest, FormatOneStreamsAreRejectedWithMigrationHint) {
+  const auto expect_hint = [](const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << "format-1 stream accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("m3dfl_tool migrate-artifact"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  TierPredictor tier(small_config());
+  const std::string tier_text =
+      format1(tier_predictor_to_string(tier), kTierPredictorKind);
+  ASSERT_EQ(tier_text.rfind("m3dfl-model 1 tier-predictor", 0), 0u);
+  expect_hint([&] { tier_predictor_from_string(tier_text); });
+
+  std::ostringstream miv;
+  save_model(miv, MivPinpointer(small_config()));
+  expect_hint([&] {
+    std::istringstream is(format1(miv.str(), kMivPinpointerKind));
+    load_miv_pinpointer(is);
+  });
+
+  std::ostringstream prune;
+  save_model(prune, PruneClassifier(tier, small_config()));
+  expect_hint([&] {
+    std::istringstream is(format1(prune.str(), kPruneClassifierKind));
+    load_prune_classifier(is, tier);
+  });
+
+  const std::string framework = format1(
+      framework_to_string(trained_framework(11)), kFrameworkKind);
+  ASSERT_EQ(framework.rfind("m3dfl-framework 1", 0), 0u);
+  expect_hint([&] {
+    std::istringstream is(framework);
+    DiagnosisFramework restored;
+    restored.load(is);
+  });
+}
+
+// migrate_artifact converts every standalone format-1 kind into exactly the
+// container save() writes, so the migrated file loads and re-saves
+// byte-identically.
+TEST(SerializeTest, MigrateArtifactConvertsFormatOneStreams) {
+  TierPredictor tier(small_config());
+  std::ostringstream miv;
+  save_model(miv, MivPinpointer(small_config()));
+  const std::vector<std::pair<std::string, std::string>> containers = {
+      {kFrameworkKind, framework_to_string(trained_framework(11))},
+      {kTierPredictorKind, tier_predictor_to_string(tier)},
+      {kMivPinpointerKind, miv.str()},
+  };
+  for (const auto& [kind, container] : containers) {
+    const MigratedArtifact migrated =
+        migrate_artifact(format1(container, kind), "<legacy>");
+    EXPECT_TRUE(migrated.converted) << kind;
+    EXPECT_EQ(migrated.kind, kind);
+    EXPECT_EQ(migrated.bytes, container) << kind;
+  }
+  std::istringstream is(
+      migrate_artifact(format1(containers[0].second, kFrameworkKind), "<x>")
+          .bytes);
+  DiagnosisFramework restored;
   restored.load(is);
-  EXPECT_TRUE(restored.trained());
-  EXPECT_DOUBLE_EQ(restored.tp_threshold(), framework.tp_threshold());
+  EXPECT_EQ(framework_to_string(restored), containers[0].second);
+}
+
+TEST(SerializeTest, MigrateArtifactValidatesAndCopiesContainers) {
+  TierPredictor tier(small_config());
+  const std::string framework = framework_to_string(trained_framework(12));
+  for (const std::string& container :
+       {framework, tier_predictor_to_string(tier)}) {
+    const MigratedArtifact copied = migrate_artifact(container, "<x>");
+    EXPECT_FALSE(copied.converted);
+    EXPECT_EQ(copied.bytes, container);
+  }
+  std::ostringstream prune;
+  save_model(prune, PruneClassifier(tier, small_config()));
+  EXPECT_EQ(migrate_artifact(prune.str(), "<x>").kind, kPruneClassifierKind);
+
+  // A torn or bit-rotted container is rejected, not copied.
+  std::string flipped = framework;
+  flipped[flipped.size() / 2] ^= 0x01;
+  EXPECT_THROW(migrate_artifact(flipped, "<x>"), Error);
+  EXPECT_THROW(migrate_artifact(framework.substr(0, 100), "<x>"), Error);
+  // A bare prune classifier needs its host encoder; unknown bytes are
+  // neither format.
+  EXPECT_THROW(
+      migrate_artifact(format1(prune.str(), kPruneClassifierKind), "<x>"),
+      Error);
+  EXPECT_THROW(migrate_artifact("m3dfl-model 1 widget\n", "<x>"), Error);
+  EXPECT_THROW(migrate_artifact("hello\n", "<x>"), Error);
 }
 
 TEST(SerializeTest, FrameworkSaveLoadSaveIsByteIdentical) {
@@ -364,7 +449,9 @@ TEST(SerializeLimitsTest, MatrixShapeBombRejectsBeforeAllocating) {
   const auto eol = bare.find('\n', pos);
   bare.replace(pos, eol - pos, "matrix 60000 60000");
   try {
-    tier_predictor_from_string(bare);
+    // Re-wrapped, so the container CRC holds and the shape reaches the
+    // payload parser.
+    tier_predictor_from_string(artifact_to_string(kTierPredictorKind, bare));
     FAIL() << "matrix shape bomb accepted";
   } catch (const Error& e) {
     const std::string what = e.what();

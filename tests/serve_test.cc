@@ -459,7 +459,7 @@ TEST(BackoffTest, DecorrelatedJitterIsDeterministicAndBounded) {
 }
 
 TEST(FaultInjectorTest, ScriptedAndProbabilisticTriggersAreDeterministic) {
-  serve::FaultInjector injector(7);
+  FaultInjector injector(serve::kNumSeams, 7);
   injector.arm_nth(serve::Seam::kModelPredict, {2, 4});
   EXPECT_FALSE(injector.should_fail(serve::Seam::kModelPredict));
   EXPECT_TRUE(injector.should_fail(serve::Seam::kModelPredict));
@@ -469,7 +469,7 @@ TEST(FaultInjectorTest, ScriptedAndProbabilisticTriggersAreDeterministic) {
   EXPECT_EQ(injector.triggered(serve::Seam::kModelPredict), 2);
 
   // Two injectors with the same seed trigger identically.
-  serve::FaultInjector x(99), y(99);
+  FaultInjector x(serve::kNumSeams, 99), y(serve::kNumSeams, 99);
   x.arm(serve::Seam::kCacheLookup, 0.3);
   y.arm(serve::Seam::kCacheLookup, 0.3);
   for (int i = 0; i < 200; ++i) {
@@ -485,7 +485,7 @@ TEST(FaultInjectorTest, ScriptedAndProbabilisticTriggersAreDeterministic) {
   EXPECT_THROW(
       {
         for (int i = 0; i < 100; ++i) {
-          x.maybe_throw(serve::Seam::kCacheLookup, "boom");
+          serve::maybe_throw(x, serve::Seam::kCacheLookup, "boom");
         }
       },
       serve::TransientError);
@@ -620,7 +620,7 @@ TEST_F(ServeTest, InvalidLogRejectedAtTheServiceBoundary) {
 TEST_F(ServeTest, LintAdmissionGateRejectsBeforeTheQueue) {
   serve::ServiceOptions options;
   options.num_threads = 1;
-  auto injector = std::make_shared<serve::FaultInjector>();
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams);
   injector->arm(serve::Seam::kAdmissionLint, 1.0);
   options.fault_injector = injector;
   serve::DiagnosisService service = make_service(options);
@@ -716,7 +716,7 @@ TEST_F(ServeTest, AbortShutdownFailsQueuedRequestsDeterministically) {
 }
 
 TEST_F(ServeTest, TransientFaultRetriesWithBackoffAndSucceeds) {
-  auto injector = std::make_shared<serve::FaultInjector>(3);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 3);
   injector->arm_nth(serve::Seam::kModelPredict, {1});  // first attempt only
   serve::ServiceOptions options;
   options.num_threads = 1;
@@ -747,7 +747,7 @@ TEST_F(ServeTest, TransientFaultRetriesWithBackoffAndSucceeds) {
 }
 
 TEST_F(ServeTest, ExhaustedRetriesSurfaceTransientStatus) {
-  auto injector = std::make_shared<serve::FaultInjector>(3);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 3);
   injector->arm(serve::Seam::kModelPredict, 1.0);
   serve::ServiceOptions options;
   options.num_threads = 1;
@@ -768,7 +768,7 @@ TEST_F(ServeTest, ExhaustedRetriesSurfaceTransientStatus) {
 }
 
 TEST_F(ServeTest, BreakerTripsFailsFastAndRecoversViaProbe) {
-  auto injector = std::make_shared<serve::FaultInjector>(11);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 11);
   injector->arm(serve::Seam::kModelPredict, 1.0);
   serve::ServiceOptions options;
   options.num_threads = 1;
@@ -806,7 +806,7 @@ TEST_F(ServeTest, BreakerTripsFailsFastAndRecoversViaProbe) {
 }
 
 TEST_F(ServeTest, ProbeWithoutHealthVerdictDoesNotWedgeBreaker) {
-  auto injector = std::make_shared<serve::FaultInjector>(13);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 13);
   injector->arm(serve::Seam::kModelPredict, 1.0);
   serve::ServiceOptions options;
   options.num_threads = 1;
@@ -881,7 +881,7 @@ TEST_F(ServeTest, CorruptModelStreamDegradesToAtpgOnlyWhenAllowed) {
 }
 
 TEST_F(ServeTest, InjectedFrameworkLoadFaultDegradesService) {
-  auto injector = std::make_shared<serve::FaultInjector>(5);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 5);
   injector->arm(serve::Seam::kFrameworkLoad, 1.0);
   std::stringstream model;
   framework_->save(model);
@@ -901,7 +901,7 @@ TEST_F(ServeTest, InjectedFrameworkLoadFaultDegradesService) {
 }
 
 TEST_F(ServeTest, ModelFaultAtPredictTimeDegradesThatRequestOnly) {
-  auto injector = std::make_shared<serve::FaultInjector>(5);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 5);
   injector->arm_nth(serve::Seam::kModelPredict, {1},
                     serve::FaultKind::kModelUnavailable);
   serve::ServiceOptions options;
@@ -929,7 +929,7 @@ TEST_F(ServeTest, ModelFaultAtPredictTimeDegradesThatRequestOnly) {
 }
 
 TEST_F(ServeTest, ModelFaultWithoutFallbackFailsTheRequest) {
-  auto injector = std::make_shared<serve::FaultInjector>(5);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 5);
   injector->arm(serve::Seam::kModelPredict, 1.0,
                 serve::FaultKind::kModelUnavailable);
   serve::ServiceOptions options;
@@ -947,7 +947,7 @@ TEST_F(ServeTest, ModelFaultWithoutFallbackFailsTheRequest) {
 // Failed requests flow through the ordered sink without stalling later
 // successes (service-level companion to the sink unit test above).
 TEST_F(ServeTest, FailedRequestsDoNotStallOrderedReporting) {
-  auto injector = std::make_shared<serve::FaultInjector>(13);
+  auto injector = std::make_shared<FaultInjector>(serve::kNumSeams, 13);
   injector->arm_nth(serve::Seam::kCacheLookup, {1});  // request 0 fails
   serve::ServiceOptions options;
   options.num_threads = 1;

@@ -95,7 +95,7 @@ std::string reference_run(const std::vector<Subgraph>& graphs,
   trainer.train(graphs);
   if (num_epoch_ends != nullptr) {
     *num_epoch_ends =
-        injector.calls(static_cast<int>(TrainSeam::kEpochEnd));
+        injector.calls(TrainSeam::kEpochEnd);
   }
   return framework_bytes(framework);
 }
@@ -127,7 +127,7 @@ TEST(TrainChaosTest, KillAtEveryEpochBoundaryResumesByteIdentical) {
       DiagnosisFramework victim(small_options());
       Trainer trainer(victim, topt);
       FaultInjector injector(kNumTrainSeams);
-      injector.arm_nth(static_cast<int>(TrainSeam::kEpochEnd),
+      injector.arm_nth(TrainSeam::kEpochEnd,
                        {static_cast<std::uint64_t>(kill)});
       trainer.set_fault_injector(&injector);
       EXPECT_THROW(trainer.train(graphs), SimulatedCrash)
@@ -161,7 +161,7 @@ TEST(TrainChaosTest, ResumeReplaysEpochsSinceLastCheckpoint) {
     DiagnosisFramework victim(small_options());
     Trainer trainer(victim, topt);
     FaultInjector injector(kNumTrainSeams);
-    injector.arm_nth(static_cast<int>(TrainSeam::kEpochEnd), {5});
+    injector.arm_nth(TrainSeam::kEpochEnd, {5});
     trainer.set_fault_injector(&injector);
     EXPECT_THROW(trainer.train(graphs), SimulatedCrash);
   }
@@ -185,7 +185,7 @@ TEST(TrainChaosTest, CrashDuringCheckpointWriteLeavesOldCheckpointUsable) {
     DiagnosisFramework victim(small_options());
     Trainer trainer(victim, topt);
     FaultInjector injector(kNumTrainSeams);
-    injector.arm_nth(static_cast<int>(TrainSeam::kCheckpointSave), {3});
+    injector.arm_nth(TrainSeam::kCheckpointSave, {3});
     trainer.set_fault_injector(&injector);
     EXPECT_THROW(trainer.train(graphs), SimulatedCrash);
     ASSERT_TRUE(Trainer::has_checkpoint(dir));
@@ -217,7 +217,7 @@ TEST(TrainChaosTest, NanLossRollsBackAndRecovers) {
   DiagnosisFramework framework(small_options());
   Trainer trainer(framework);
   FaultInjector injector(kNumTrainSeams);
-  injector.arm_nth(static_cast<int>(TrainSeam::kNanLoss), {3});
+  injector.arm_nth(TrainSeam::kNanLoss, {3});
   trainer.set_fault_injector(&injector);
   trainer.train(graphs);
   EXPECT_TRUE(framework.trained());
@@ -237,7 +237,7 @@ TEST(TrainChaosTest, PersistentDivergenceGivesUpAfterMaxRollbacks) {
   topt.max_rollbacks = 2;
   Trainer trainer(framework, topt);
   FaultInjector injector(kNumTrainSeams);
-  injector.arm(static_cast<int>(TrainSeam::kNanLoss), 1.0);  // every epoch
+  injector.arm(TrainSeam::kNanLoss, 1.0);  // every epoch
   trainer.set_fault_injector(&injector);
   try {
     trainer.train(graphs);
@@ -260,7 +260,7 @@ std::string make_checkpoint(const std::vector<Subgraph>& graphs,
   DiagnosisFramework victim(small_options());
   Trainer trainer(victim, topt);
   FaultInjector injector(kNumTrainSeams);
-  injector.arm_nth(static_cast<int>(TrainSeam::kEpochEnd), {kill});
+  injector.arm_nth(TrainSeam::kEpochEnd, {kill});
   trainer.set_fault_injector(&injector);
   EXPECT_THROW(trainer.train(graphs), SimulatedCrash);
   return trainer.checkpoint_path();

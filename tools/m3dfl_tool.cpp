@@ -936,11 +936,10 @@ int cmd_serve(const std::string& profile, const std::string& model_path,
   return num_failed == 0 ? 0 : 1;
 }
 
-// `m3dfl_tool migrate-artifact <in> <out>`: converts a legacy format-1
-// stream (bare "m3dfl-framework 1" or "m3dfl-model 1 <kind>") into the
-// checksummed format-2 container the model registry ingests.  A file that is
-// already a container is validated end-to-end (structure, CRC, payload
-// parse) and copied through.  Always writes atomically.
+// `m3dfl_tool migrate-artifact <in> <out>`: converts a format-1 stream into
+// the checksummed format-2 container the model registry ingests, or
+// validates a container and copies it through (core/framework.h
+// migrate_artifact).  Always writes atomically.
 int cmd_migrate_artifact(const std::string& in_path,
                          const std::string& out_path) {
   std::string bytes;
@@ -948,71 +947,18 @@ int cmd_migrate_artifact(const std::string& in_path,
     auto is = open_in(in_path);
     bytes = slurp_stream(is);
   }
-  if (is_artifact(bytes)) {
-    // Header: "m3dfl-artifact 2 <kind>".  Validate under the declared kind
-    // so a torn or bit-rotted container is rejected here, not at serve time.
-    const std::size_t eol = bytes.find('\n');
-    const std::string header = bytes.substr(0, eol);
-    const std::size_t kind_at = header.rfind(' ');
-    M3DFL_REQUIRE(kind_at != std::string::npos,
-                  "malformed artifact header in '" + in_path + "'");
-    const std::string kind = header.substr(kind_at + 1);
-    const std::string payload = read_artifact(bytes, kind, in_path);
-    std::istringstream ps(payload);
-    if (kind == kFrameworkKind) {
-      DiagnosisFramework framework;
-      framework.load(ps, in_path);
-    } else if (kind == kTierPredictorKind) {
-      read_tier_predictor_payload(ps, in_path);
-    } else if (kind == kMivPinpointerKind) {
-      // A bare pinpointer payload parses standalone; the prune classifier
-      // needs its host encoder, so only its container CRC is checked.
-      read_miv_pinpointer_payload(ps, in_path);
-    }
-    write_file_atomic(out_path, bytes);
+  const MigratedArtifact migrated = migrate_artifact(bytes, in_path);
+  write_file_atomic(out_path, migrated.bytes);
+  if (migrated.converted) {
+    std::cout << "migrated format-1 " << migrated.kind
+              << " stream to format-" << kArtifactVersion
+              << " container: " << out_path << "\n";
+  } else {
     std::cout << "'" << in_path << "' is already a format-"
-              << kArtifactVersion << " " << kind
+              << kArtifactVersion << " " << migrated.kind
               << " artifact; validated and copied to " << out_path << "\n";
-    return 0;
   }
-  std::istringstream is(bytes);
-  std::ostringstream os;
-  if (bytes.rfind("m3dfl-framework", 0) == 0) {
-    DiagnosisFramework framework;
-    framework.load(is, in_path);  // legacy shim accepts the bare stream
-    framework.save(os);           // save() always writes format-2
-    write_file_atomic(out_path, os.str());
-    std::cout << "migrated legacy framework stream to format-"
-              << kArtifactVersion << " container: " << out_path << "\n";
-    return 0;
-  }
-  if (bytes.rfind("m3dfl-model", 0) == 0) {
-    // "m3dfl-model 1 <kind>"
-    const std::size_t eol = bytes.find('\n');
-    const std::string header = bytes.substr(0, eol);
-    const std::size_t kind_at = header.rfind(' ');
-    const std::string kind =
-        kind_at == std::string::npos ? "" : header.substr(kind_at + 1);
-    if (kind == kTierPredictorKind) {
-      save_model(os, read_tier_predictor_payload(is, in_path));
-    } else if (kind == kMivPinpointerKind) {
-      save_model(os, read_miv_pinpointer_payload(is, in_path));
-    } else if (kind == kPruneClassifierKind) {
-      throw Error("a bare prune-classifier stream cannot be migrated "
-                  "standalone (it needs its host encoder); migrate the "
-                  "enclosing framework artifact instead");
-    } else {
-      throw Error("unknown legacy model kind '" + kind + "' in '" + in_path +
-                  "'");
-    }
-    write_file_atomic(out_path, os.str());
-    std::cout << "migrated legacy " << kind << " stream to format-"
-              << kArtifactVersion << " container: " << out_path << "\n";
-    return 0;
-  }
-  throw Error("'" + in_path +
-              "' is neither a format-2 artifact nor a recognized legacy "
-              "stream (expected m3dfl-framework or m3dfl-model magic)");
+  return 0;
 }
 
 // Flags accepted by `fleet`.
