@@ -6,6 +6,7 @@
 // Hand-rolled timing loop (steady_clock, repeats, best-of like the other
 // benches) emitting the machine-readable BENCH_micro_kernels.json trace;
 // --smoke shrinks the fixture and iteration counts for CI.
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -59,6 +60,8 @@ void run(bool smoke) {
   FaultSimulator fsim(s.design->netlist(), s.design->good_sim(),
                       &s.design->mivs());
   PinId pin = 0;
+  std::vector<std::uint64_t> one_word(
+      static_cast<std::size_t>(s.design->good_sim().num_words()));
   std::size_t log_i = 0;
   std::size_t graph_i = 0;
   const auto next_log = [&]() -> const FailureLog& {
@@ -74,6 +77,16 @@ void run(bool smoke) {
        [&] {
          pin = (pin + 37) % s.design->netlist().num_pins();
          fsim.simulate(Fault::slow_to_rise(pin));
+       }},
+      // The same faults simulated on the lanes of one 64-pattern word only,
+      // as ATPG diagnosis scores a candidate on the observed failing
+      // patterns.
+      {"fault_simulation_observed_lanes", 1,
+       [&] {
+         pin = (pin + 37) % s.design->netlist().num_pins();
+         std::fill(one_word.begin(), one_word.end(), 0);
+         one_word[static_cast<std::size_t>(pin) % one_word.size()] = ~0ULL;
+         fsim.simulate(Fault::slow_to_rise(pin), one_word);
        }},
       {"backtrace", 1,
        [&] {

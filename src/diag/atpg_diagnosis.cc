@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <span>
-#include <unordered_set>
 
 #include "graph/backtrace.h"
 #include "graph/hetero_graph.h"
 #include "sim/fault_sim.h"
-#include "sta/collapse.h"
 #include "util/thinning.h"
 
 namespace m3dfl {
@@ -101,44 +98,6 @@ std::vector<std::int32_t> suspect_net_counts(
   return count;
 }
 
-// Per-equivalence-class observation cache for the opt-in collapsed
-// candidate simulation (DiagnosisOptions::collapse_equivalent_candidates).
-// The first TDF seen from a class is simulated; later members reuse its
-// observation list, which structural equivalence guarantees is identical.
-// Observations depend only on (netlist, good simulation), so one cache
-// serves every FaultSimulator instance of a diagnosis run.
-class ObservationCache {
- public:
-  ObservationCache(const Netlist& netlist, bool enabled) {
-    if (!enabled) return;
-    collapsed_ = sta::collapse_tdf_faults(netlist);
-    cache_.resize(static_cast<std::size_t>(collapsed_->num_classes()));
-    filled_.assign(cache_.size(), 0);
-  }
-
-  const std::vector<Observation>& simulate(FaultSimulator& fsim,
-                                           const Fault& fault) {
-    if (!collapsed_ || fault.is_miv() || fault.is_static()) {
-      scratch_ = fsim.simulate(fault);
-      return scratch_;
-    }
-    const auto cls = static_cast<std::size_t>(
-        collapsed_->class_of[static_cast<std::size_t>(
-            sta::tdf_fault_index(fault))]);
-    if (!filled_[cls]) {
-      cache_[cls] = fsim.simulate(fault);
-      filled_[cls] = 1;
-    }
-    return cache_[cls];
-  }
-
- private:
-  std::optional<sta::CollapsedFaults> collapsed_;
-  std::vector<std::vector<Observation>> cache_;
-  std::vector<char> filled_;
-  std::vector<Observation> scratch_;
-};
-
 // Candidate faults on a suspect net (stem + branch pins, both directions,
 // optional static candidates, plus the MIV if the net crosses tiers).
 std::vector<Fault> enumerate_candidates(const DesignContext& design,
@@ -176,8 +135,7 @@ std::vector<Fault> enumerate_candidates(const DesignContext& design,
 DiagnosisReport diagnose_cover(const DesignContext& design,
                                const FailureLog& log,
                                const DiagnosisOptions& options,
-                               const std::vector<FailingResponse>& responses,
-                               ObservationCache& obs_cache) {
+                               const std::vector<FailingResponse>& responses) {
   const Netlist& nl = *design.netlist;
   FaultSimulator fsim(nl, *design.good, design.mivs);
   const XorCompactor* compactor = log.compacted ? design.compactor : nullptr;
@@ -223,7 +181,7 @@ DiagnosisReport diagnose_cover(const DesignContext& design,
     };
     std::vector<Scored> scored;
     for (const Fault& f : enumerate_candidates(design, suspects, options)) {
-      const std::vector<Observation>& raw = obs_cache.simulate(fsim, f);
+      const std::vector<Observation> raw = fsim.simulate(f);
       if (raw.empty()) continue;
       const FailureLog predicted_log = truncate_failure_log(
           make_failure_log(raw, *design.scan, compactor), log.pattern_limit);
@@ -310,8 +268,10 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
                 "compacted log requires a compactor in the context");
   DiagnosisReport report;
   if (log.empty()) return report;
+  M3DFL_REQUIRE(options.w_tfsp >= 0.0 && options.w_tpsf >= 0.0 &&
+                    options.w_bit_tfsp >= 0.0,
+                "diagnosis mismatch weights must be non-negative");
   const Netlist& nl = *design.netlist;
-  ObservationCache obs_cache(nl, options.collapse_equivalent_candidates);
 
   // ---- Effect-cause: suspect nets -----------------------------------------
   std::vector<FailingResponse> responses =
@@ -334,7 +294,7 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
     // Multi-fault dies rarely share a common cone across all responses; the
     // standard remedy is iterative covering: diagnose the strongest
     // remaining fault, subtract the responses it explains, repeat.
-    return diagnose_cover(design, log, options, responses, obs_cache);
+    return diagnose_cover(design, log, options, responses);
   }
 
   // ---- Cause-effect: candidate enumeration and simulation -----------------
@@ -345,15 +305,43 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
   const std::vector<std::uint64_t> observed_bits = bit_signature(log);
   FaultSimulator fsim(nl, *design.good, design.mivs);
   const XorCompactor* compactor = log.compacted ? design.compactor : nullptr;
+  // Candidate predictions see the same tester fail-memory truncation as the
+  // observed log, so the comparison stays apples-to-apples.
+  const auto predict = [&](const std::vector<Observation>& raw) {
+    return truncate_failure_log(
+        make_failure_log(raw, *design.scan, compactor), log.pattern_limit);
+  };
+
+  // The pattern lanes the score reads.  With w_tpsf == 0 the score uses
+  // only tfsf, tfsp and bit_tfsp, which depend on the candidate's behaviour
+  // at the observed failing patterns alone.  Under fail-memory truncation,
+  // predicted fails before the last observed failing pattern also move the
+  // candidate's truncation cutoff, so every earlier pattern is read too.
+  // Predictions outside these lanes can only raise tpsf, which is filled in
+  // below for the reported candidates.
+  M3DFL_REQUIRE(observed.front() >= 0 &&
+                    observed.back() < design.good->num_patterns(),
+                "failure log names a pattern the design does not have");
+  const bool all_lanes = options.w_tpsf != 0.0;
+  std::vector<std::uint64_t> lanes(
+      static_cast<std::size_t>(design.good->num_words()),
+      all_lanes ? ~0ULL : 0);
+  const auto read_lane = [&](std::int32_t p) {
+    lanes[static_cast<std::size_t>(p / kWordBits)] |= 1ULL << (p % kWordBits);
+  };
+  if (!all_lanes && log.pattern_limit > 0) {
+    for (std::int32_t p = 0; p <= observed.back(); ++p) read_lane(p);
+  } else if (!all_lanes) {
+    for (std::int32_t p : observed) read_lane(p);
+  }
 
   std::vector<Candidate> scored;
   for (const Fault& f : candidates) {
-    const std::vector<Observation>& raw = obs_cache.simulate(fsim, f);
+    // A candidate silent in the scored lanes explains nothing: with
+    // non-negative weights its score is <= 0 and it would be dropped below.
+    const std::vector<Observation> raw = fsim.simulate(f, lanes);
     if (raw.empty()) continue;
-    // Candidate predictions see the same tester fail-memory truncation as
-    // the observed log, so the comparison stays apples-to-apples.
-    const FailureLog predicted_log = truncate_failure_log(
-        make_failure_log(raw, *design.scan, compactor), log.pattern_limit);
+    const FailureLog predicted_log = predict(raw);
     const std::vector<std::int32_t> predicted =
         pattern_signature(predicted_log);
 
@@ -377,7 +365,7 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
   for (const Candidate& c : scored) have_perfect |= c.perfect();
   if (scored.empty() ||
       (options.include_stuck_at_candidates && !have_perfect)) {
-    return diagnose_cover(design, log, options, responses, obs_cache);
+    return diagnose_cover(design, log, options, responses);
   }
 
   // Rank by pattern-level score; within a tie the candidates are behaviour-
@@ -405,6 +393,15 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
     if (c.score < floor_score) break;
     report.candidates.push_back(c);
     if (report.resolution() >= options.max_candidates) break;
+  }
+  // tpsf counts predicted fails at tester-pass patterns, most of which lie
+  // outside the scored lanes: simulate the reported candidates in full.
+  if (!all_lanes) {
+    for (Candidate& c : report.candidates) {
+      c.tpsf = static_cast<std::int32_t>(
+                   pattern_signature(predict(fsim.simulate(c.fault))).size()) -
+               c.tfsf;
+    }
   }
   return report;
 }

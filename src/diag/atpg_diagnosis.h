@@ -14,8 +14,17 @@
 //  2. Cause-effect: enumerate candidate TDFs (stem + branch pins, both
 //     transition directions) and MIV delay faults on the suspect nets,
 //     fault-simulate each candidate, and score it by how well its predicted
-//     failure log matches the observed one (TFSF/TFSP/TPSF counts).
-//  3. Report: rank by score and keep the near-best candidates.
+//     failure log matches the observed one (TFSF/TFSP/TPSF counts).  Each
+//     candidate is simulated only on the pattern lanes the score reads
+//     (FaultSimulator::simulate with lane masks): the observed failing
+//     patterns, or every pattern up to the last of them when the log is
+//     fail-memory truncated (predicted fails there move the truncation
+//     cutoff), or every pattern when w_tpsf != 0.  This is exact because
+//     lanes are independent patterns and the weights are non-negative: a
+//     candidate silent in the scored lanes scores <= 0 either way.
+//  3. Report: rank by score and keep the near-best candidates.  Only then
+//     is tpsf (read by no score when w_tpsf == 0) filled in, by one
+//     all-pattern simulation per reported candidate.
 //
 // Resolution/accuracy/first-hit-index of these reports define the "ATPG
 // diagnosis report" columns of paper Tables V and VII.
@@ -65,7 +74,8 @@ struct DiagnosisOptions {
   // Candidates scoring below keep_ratio * best_score are dropped.
   double keep_ratio = 0.60;
   std::int32_t max_candidates = 64;
-  // Mismatch weights in the score: tfsf - w_tfsp*tfsp - w_tpsf*tpsf.
+  // Mismatch weights in the score: tfsf - w_tfsp*tfsp - w_tpsf*tpsf.  All
+  // weights must be non-negative (lane-restricted scoring relies on it).
   // Unexplained tester failures (tfsp) strongly discredit a candidate; a
   // candidate predicting failures the tester did not see (tpsf) is barely
   // penalized, because for *delay* faults gross-delay simulation
@@ -88,14 +98,6 @@ struct DiagnosisOptions {
   // Also enumerate static stuck-at candidates on the suspect nets (the
   // static-diagnosis extension; off for the paper's TDF-only flow).
   bool include_stuck_at_candidates = false;
-  // Simulate one member per structural TDF equivalence class
-  // (sta::collapse_tdf_faults) and reuse the cached observation list for
-  // the rest of the class.  Equivalent faults produce identical
-  // observations, so every candidate's match counts — and therefore the
-  // ranked report — are byte-identical to the uncollapsed run; candidate
-  // enumeration itself is untouched.  MIV and stuck-at candidates bypass
-  // the cache (the TDF collapsing rules do not apply to them).
-  bool collapse_equivalent_candidates = false;
 };
 
 // Runs the full diagnosis flow on one failure log.  `design.graph` must be

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <queue>
 
 namespace m3dfl {
@@ -31,6 +32,7 @@ FaultSimulator::FaultSimulator(const Netlist& netlist,
   stamp_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
   val1_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
   stamp1_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
+  queued_.assign(n, 0);
 }
 
 FaultSimulator::Cone FaultSimulator::build_cone(
@@ -284,8 +286,140 @@ bool FaultSimulator::simulate_word(const Cone& cone, std::int32_t w,
   return any;
 }
 
+void FaultSimulator::schedule(GateId g) {
+  const auto gi = static_cast<std::size_t>(g);
+  if (queued_[gi] == version_) return;
+  queued_[gi] = version_;
+  const GateType type = netlist_->gate(g).type;
+  if (is_combinational(type)) {
+    heap_.push_back(topo_pos_[gi]);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  } else if (type == GateType::kScanFlop ||
+             type == GateType::kPrimaryOutput) {
+    terminals_.push_back(g);
+  }
+}
+
+bool FaultSimulator::simulate_word_events(FaultType type, std::int32_t w,
+                                          std::uint64_t lanes,
+                                          std::vector<Observation>* out) {
+  const Netlist& nl = *netlist_;
+  ++version_;
+  heap_.clear();
+  terminals_.clear();
+
+  // Inputs of gate g as the faulty machine sees them: the stored faulty
+  // values, with the fault's behaviour applied at its faulty input pins.
+  std::uint64_t inputs[8];
+  const auto load_inputs = [&](GateId g, const Gate& gate) {
+    const std::size_t k = gate.fanin.size();
+    M3DFL_ASSERT(k <= 8);
+    for (std::size_t i = 0; i < k; ++i) inputs[i] = value(gate.fanin[i], w);
+    for (const PinRef& b : event_branches_) {
+      if (b.gate != g) continue;
+      const auto i = static_cast<std::size_t>(b.input);
+      inputs[i] = faulty_value(type, good_->v1(gate.fanin[i], w), inputs[i]);
+    }
+    return k;
+  };
+
+  if (event_stem_ != kNullNet) {
+    const std::uint64_t good = good_->v2(event_stem_, w);
+    const std::uint64_t f = faulty_value(type, good_->v1(event_stem_, w), good);
+    if (((f ^ good) & lanes) == 0) return false;
+    set_value(event_stem_, f);
+    for (const PinRef& sink : nl.net(event_stem_).sinks) schedule(sink.gate);
+  }
+  for (const PinRef& b : event_branches_) schedule(b.gate);
+
+  const std::vector<GateId>& topo = nl.topo_order();
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const GateId g = topo[static_cast<std::size_t>(heap_.back())];
+    heap_.pop_back();
+    const Gate& gate = nl.gate(g);
+    const std::size_t k = load_inputs(g, gate);
+    const std::uint64_t outv =
+        eval_gate(gate.type, std::span<const std::uint64_t>(inputs, k));
+    if (((outv ^ good_->v2(gate.fanout, w)) & lanes) == 0) continue;
+    set_value(gate.fanout, outv);
+    for (const PinRef& sink : nl.net(gate.fanout).sinks) schedule(sink.gate);
+  }
+
+  bool any = false;
+  for (GateId g : terminals_) {
+    const Gate& gate = nl.gate(g);
+    load_inputs(g, gate);
+    const bool at_po = gate.type == GateType::kPrimaryOutput;
+    const std::int32_t index = at_po ? po_index_[static_cast<std::size_t>(g)]
+                                     : flop_index_[static_cast<std::size_t>(g)];
+    const std::uint64_t good =
+        at_po ? good_->po_value(index, w) : good_->captured(index, w);
+    std::uint64_t diff = (inputs[0] ^ good) & lanes;
+    if (diff == 0) continue;
+    any = true;
+    if (out == nullptr) return true;
+    while (diff != 0) {
+      const int b = std::countr_zero(diff);
+      diff &= diff - 1;
+      out->push_back(Observation{w * kWordBits + b, at_po, index});
+    }
+  }
+  return any;
+}
+
+bool FaultSimulator::simulate_events(const Fault& fault,
+                                     std::span<const std::uint64_t> lanes,
+                                     std::vector<Observation>* out) {
+  const Netlist& nl = *netlist_;
+  M3DFL_ASSERT(!fault.is_static());
+  event_stem_ = kNullNet;
+  event_branches_.clear();
+  if (fault.is_miv()) {
+    M3DFL_REQUIRE(mivs_ != nullptr, "MIV fault simulated without an MIV map");
+    const Miv& miv = mivs_->miv(fault.miv);
+    event_branches_.assign(miv.far_sinks.begin(), miv.far_sinks.end());
+  } else if (const PinRef ref = nl.pin_ref(fault.pin); ref.is_output()) {
+    event_stem_ = nl.gate(ref.gate).fanout;
+    M3DFL_ASSERT(event_stem_ != kNullNet);
+  } else {
+    event_branches_.push_back(ref);
+  }
+
+  bool any = false;
+  for (std::int32_t w = 0; w < good_->num_words(); ++w) {
+    const std::uint64_t mask = lanes[static_cast<std::size_t>(w)] &
+                               valid_mask(good_->num_patterns(), w);
+    if (mask == 0) continue;
+    any |= simulate_word_events(fault.type, w, mask, out);
+    if (any && out == nullptr) return true;
+  }
+  return any;
+}
+
 std::vector<Observation> FaultSimulator::simulate(const Fault& fault) {
-  return simulate(std::span<const Fault>(&fault, 1));
+  if (fault.is_static()) return simulate(std::span<const Fault>(&fault, 1));
+  const std::vector<std::uint64_t> all(
+      static_cast<std::size_t>(good_->num_words()), ~0ULL);
+  return simulate(fault, all);
+}
+
+std::vector<Observation> FaultSimulator::simulate(
+    const Fault& fault, std::span<const std::uint64_t> lanes) {
+  M3DFL_REQUIRE(static_cast<std::int32_t>(lanes.size()) == good_->num_words(),
+                "one lane mask per pattern word expected");
+  std::vector<Observation> out;
+  if (fault.is_static()) {
+    out = simulate(std::span<const Fault>(&fault, 1));
+    std::erase_if(out, [&](const Observation& o) {
+      return ((lanes[static_cast<std::size_t>(o.pattern / kWordBits)] >>
+               (o.pattern % kWordBits)) & 1) == 0;
+    });
+    return out;
+  }
+  simulate_events(fault, lanes, &out);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::vector<Observation> FaultSimulator::simulate(
@@ -300,6 +434,11 @@ std::vector<Observation> FaultSimulator::simulate(
 }
 
 bool FaultSimulator::detects(const Fault& fault) {
+  if (!fault.is_static()) {
+    const std::vector<std::uint64_t> all(
+        static_cast<std::size_t>(good_->num_words()), ~0ULL);
+    return simulate_events(fault, all, nullptr);
+  }
   const Cone cone = build_cone(std::span<const Fault>(&fault, 1));
   for (std::int32_t w = 0; w < good_->num_words(); ++w) {
     if (simulate_word(cone, w, nullptr)) return true;

@@ -1,13 +1,29 @@
-// Event-driven fault simulator.
+// Fault simulator.
 //
-// Re-evaluates only the fan-out cone of the injected fault(s) on top of the
+// Re-evaluates only what the injected fault(s) disturb, on top of the
 // good-machine results of a LocSimulator run, word-parallel over 64
 // patterns.  Versioned scratch arrays make repeated fault injections
 // allocation-free, which matters because ATPG coverage and per-candidate
 // diagnosis both simulate thousands of faults per design.
 //
+// Two schedules share the scratch state:
+//  * Event-driven (single delay faults: TDFs and MIV delay faults).  From
+//    the fault site, gates are popped from a min-heap keyed by topological
+//    position; a gate's output is stored, and its sinks scheduled, only
+//    when it differs from the good V2 value in a requested lane.  The
+//    caller passes one lane mask per 64-pattern word, and only the masked
+//    differences at the flops and POs reached are reported.  Gate
+//    evaluation is bitwise, so every lane is an independent pattern and
+//    the requested lanes are exact; the other lanes are simply not
+//    computed.  simulate(const Fault&) and detects() take this path with
+//    every lane set.
+//  * Cone-scheduled (static faults and multi-fault sets): the full fan-out
+//    cone is collected and evaluated in topological order over every
+//    pattern word.  simulate(std::span<const Fault>) always takes this
+//    path, so it is also the test oracle for the event-driven one.
+//
 // Delay faults (the paper's model) corrupt only the at-speed capture cycle,
-// so one cone over the V2 evaluation suffices.  Static stuck-at faults (the
+// so one pass over the V2 evaluation suffices.  Static stuck-at faults (the
 // library's extension) corrupt the launch cycle too: the simulator then also
 // re-evaluates the V1 cone, re-launches the affected flops, and extends the
 // capture-cycle cone through their Q fan-out — exact two-cycle semantics.
@@ -49,9 +65,19 @@ class FaultSimulator {
                  const MivMap* mivs = nullptr);
 
   // All failing observations of the fault (set) across all patterns, sorted
-  // by (pattern, po-flag, index).
+  // by (pattern, po-flag, index).  A single delay fault takes the
+  // event-driven path; the span overload is always cone-scheduled.
   std::vector<Observation> simulate(const Fault& fault);
   std::vector<Observation> simulate(std::span<const Fault> faults);
+
+  // Failing observations of one fault in the requested pattern lanes only:
+  // bit b of lanes[w] requests pattern w * 64 + b, and lanes.size() must
+  // equal the good simulation's word count.  The result is simulate(fault)
+  // filtered to those patterns, in the same order.  Delay faults simulate
+  // only the requested lanes; a static fault is simulated in full and
+  // filtered.
+  std::vector<Observation> simulate(const Fault& fault,
+                                    std::span<const std::uint64_t> lanes);
 
   // True iff any pattern detects the fault; early-exits on first detection.
   bool detects(const Fault& fault);
@@ -79,6 +105,18 @@ class FaultSimulator {
   };
 
   Cone build_cone(std::span<const Fault> faults) const;
+  // Event-driven path for one delay fault over the requested lanes;
+  // appends the failing observations (unsorted) to `out`, or with a null
+  // `out` returns at the first one.  Returns true if any lane fails.
+  bool simulate_events(const Fault& fault,
+                       std::span<const std::uint64_t> lanes,
+                       std::vector<Observation>* out);
+  // One pattern word of the fault loaded by simulate_events, restricted to
+  // `lanes`.
+  bool simulate_word_events(FaultType type, std::int32_t w,
+                            std::uint64_t lanes,
+                            std::vector<Observation>* out);
+  void schedule(GateId g);
   // Simulates one pattern word; appends failing observations.  Returns true
   // if any failure was found (for detects()).
   bool simulate_word(const Cone& cone, std::int32_t w,
@@ -117,6 +155,15 @@ class FaultSimulator {
   std::vector<std::uint64_t> val1_;
   std::vector<std::uint64_t> stamp1_;
   std::uint64_t version_ = 0;
+  // Event-driven scratch: the current fault's faulty stem net (stem faults)
+  // or faulty input pins (branch and MIV faults); per-gate "queued in this
+  // word" stamps; the min-heap of topological positions; and the flops and
+  // POs reached.
+  NetId event_stem_ = kNullNet;
+  std::vector<PinRef> event_branches_;
+  std::vector<std::uint64_t> queued_;
+  std::vector<std::int32_t> heap_;
+  std::vector<GateId> terminals_;
 };
 
 }  // namespace m3dfl

@@ -17,8 +17,8 @@
 // one representative per direction.  Equivalence is observation-preserving:
 // any simulator result (detection bit or full observation list) computed for
 // one member is byte-identical for every member, which is what makes the
-// opt-in collapsed simulation paths in atpg/coverage and diag/atpg_diagnosis
-// exact rather than approximate.
+// opt-in collapsed coverage path in atpg/coverage exact rather than
+// approximate.
 //
 // Dominance (an output fault of an AND/OR/NAND/NOR whose tests are a
 // superset of an input fault's) is *reported* via dominated_by but never

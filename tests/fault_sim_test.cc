@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.h"
 #include "m3d/partition.h"
 #include "sim/fault_sim.h"
+#include "sta/collapse.h"
 #include "test_helpers.h"
 
 namespace m3dfl {
@@ -456,6 +458,146 @@ TEST(FaultSimTest, UnactivatedFaultYieldsNoObservations) {
         << s.nl.pin_name(pin);
   }
   EXPECT_GT(checked, 0);
+}
+
+// ---- Event-driven path vs the cone-scheduled oracle --------------------------
+//
+// simulate(const Fault&), simulate(fault, lanes) and detects() take the
+// event-driven path for delay faults; the span overload is always
+// cone-scheduled and serves as the oracle (itself checked against the
+// scalar ReferenceSim above).
+
+// The oracle's observations restricted to the lanes set in `lanes`.
+std::vector<Observation> in_lanes(std::vector<Observation> obs,
+                                  const std::vector<std::uint64_t>& lanes) {
+  std::erase_if(obs, [&](const Observation& o) {
+    return ((lanes[static_cast<std::size_t>(o.pattern / kWordBits)] >>
+             (o.pattern % kWordBits)) & 1) == 0;
+  });
+  return obs;
+}
+
+// Eight seeded lane masks from dense (half the lanes) to sparse (one in 16).
+std::vector<std::vector<std::uint64_t>> random_lane_masks(
+    std::int32_t num_words, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::uint64_t>> masks;
+  for (int k = 0; k < 8; ++k) {
+    std::vector<std::uint64_t> mask(static_cast<std::size_t>(num_words));
+    for (std::uint64_t& word : mask) {
+      word = ~0ULL;
+      for (int j = 0; j <= k % 4; ++j) word &= rng.next_u64();
+    }
+    masks.push_back(std::move(mask));
+  }
+  return masks;
+}
+
+// Every pin x {STR, STF} plus every MIV: all lanes, eight lane masks and
+// detects() against the oracle.
+void expect_event_path_matches_oracle(const Netlist& nl,
+                                      const LocSimulator& good,
+                                      const MivMap& mivs) {
+  FaultSimulator fsim(nl, good, &mivs);
+  std::vector<Fault> faults;
+  for (PinId pin = 0; pin < nl.num_pins(); ++pin) {
+    faults.push_back(Fault::slow_to_rise(pin));
+    faults.push_back(Fault::slow_to_fall(pin));
+  }
+  for (MivId m = 0; m < mivs.num_mivs(); ++m) {
+    faults.push_back(Fault::miv_delay(m));
+  }
+  const auto masks = random_lane_masks(good.num_words(), 0x1A7E);
+  std::int64_t detected = 0;
+  std::int64_t masked_observations = 0;
+  for (const Fault& f : faults) {
+    const std::vector<Observation> oracle =
+        fsim.simulate(std::span<const Fault>(&f, 1));
+    ASSERT_EQ(fsim.simulate(f), oracle) << fault_to_string(nl, f);
+    ASSERT_EQ(fsim.detects(f), !oracle.empty()) << fault_to_string(nl, f);
+    detected += oracle.empty() ? 0 : 1;
+    for (std::size_t k = 0; k < masks.size(); ++k) {
+      const std::vector<Observation> want = in_lanes(oracle, masks[k]);
+      ASSERT_EQ(fsim.simulate(f, masks[k]), want)
+          << fault_to_string(nl, f) << " mask " << k;
+      masked_observations += static_cast<std::int64_t>(want.size());
+    }
+  }
+  // The comparison must not be vacuous.
+  EXPECT_GT(detected, static_cast<std::int64_t>(faults.size()) / 4);
+  EXPECT_GT(masked_observations, 0);
+}
+
+TEST(EventDrivenFaultSimTest, MatchesConeOracleOnSmallDesign) {
+  const testing::SmallDesign d(7);
+  ASSERT_GT(d.mivs.num_mivs(), 0);
+  expect_event_path_matches_oracle(d.netlist, d.sim, d.mivs);
+}
+
+TEST(EventDrivenFaultSimTest, MatchesConeOracleOnAesSyn1) {
+  const auto design = Design::build(Profile::kAes, DesignConfig::kSyn1);
+  ASSERT_GT(design->mivs().num_mivs(), 0);
+  expect_event_path_matches_oracle(design->netlist(), design->good_sim(),
+                                   design->mivs());
+}
+
+TEST(EventDrivenFaultSimTest, StaticFaultsGiveTheOracleResult) {
+  const testing::SmallDesign d(7);
+  FaultSimulator fsim(d.netlist, d.sim, &d.mivs);
+  const auto masks = random_lane_masks(d.sim.num_words(), 0x57A7);
+  for (PinId pin = 0; pin < d.netlist.num_pins(); ++pin) {
+    for (const bool value : {false, true}) {
+      const Fault f = Fault::stuck_at(pin, value);
+      const std::vector<Observation> oracle =
+          fsim.simulate(std::span<const Fault>(&f, 1));
+      ASSERT_EQ(fsim.simulate(f), oracle) << fault_to_string(d.netlist, f);
+      ASSERT_EQ(fsim.detects(f), !oracle.empty());
+      for (const auto& mask : masks) {
+        ASSERT_EQ(fsim.simulate(f, mask), in_lanes(oracle, mask))
+            << fault_to_string(d.netlist, f);
+      }
+    }
+  }
+}
+
+TEST(EventDrivenFaultSimTest, RejectsAMaskPerWordMismatch) {
+  const testing::SmallDesign d(7);
+  FaultSimulator fsim(d.netlist, d.sim, &d.mivs);
+  const std::vector<std::uint64_t> short_mask(
+      static_cast<std::size_t>(d.sim.num_words() - 1), ~0ULL);
+  EXPECT_THROW(fsim.simulate(Fault::slow_to_rise(0), short_mask), Error);
+}
+
+// Structural TDF equivalence (sta::collapse_tdf_faults) is
+// observation-preserving: every member of a class yields its
+// representative's observation list.
+void expect_collapse_classes_simulate_identically(const Netlist& nl,
+                                                  const LocSimulator& good,
+                                                  const MivMap& mivs) {
+  const sta::CollapsedFaults collapsed = sta::collapse_tdf_faults(nl);
+  ASSERT_LT(collapsed.num_classes(),
+            static_cast<std::int32_t>(collapsed.full.size()));
+  FaultSimulator fsim(nl, good, &mivs);
+  std::vector<std::vector<Observation>> by_class(
+      static_cast<std::size_t>(collapsed.num_classes()));
+  for (std::int32_t cls = 0; cls < collapsed.num_classes(); ++cls) {
+    by_class[static_cast<std::size_t>(cls)] =
+        fsim.simulate(collapsed.representative(cls));
+  }
+  for (std::size_t i = 0; i < collapsed.full.size(); ++i) {
+    const Fault& f = collapsed.full[i];
+    ASSERT_EQ(fsim.simulate(f),
+              by_class[static_cast<std::size_t>(collapsed.class_of[i])])
+        << fault_to_string(nl, f);
+  }
+}
+
+TEST(EventDrivenFaultSimTest, CollapseClassMembersSimulateIdentically) {
+  const testing::SmallDesign d(7);
+  expect_collapse_classes_simulate_identically(d.netlist, d.sim, d.mivs);
+  const auto design = Design::build(Profile::kAes, DesignConfig::kSyn1);
+  expect_collapse_classes_simulate_identically(
+      design->netlist(), design->good_sim(), design->mivs());
 }
 
 }  // namespace

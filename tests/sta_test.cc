@@ -7,8 +7,9 @@
 //  * structural collapsing on a fanout-free chain (16 faults -> 2 classes,
 //    inverter direction flip) and dominance on AND inputs;
 //  * untestability: scan-blocked cones and the slack-margin criterion;
-//  * differential proofs that the opt-in collapsed paths in atpg/coverage
-//    and diag/atpg_diagnosis are byte-identical to the full runs, plus the
+//  * a differential proof that the opt-in collapsed coverage path in
+//    atpg/coverage is byte-identical to the full run (fault_sim_test checks
+//    that every member of a collapse class simulates identically), plus the
 //    trainer's sta preflight and the timing lint pass with exact locations.
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 #include "atpg/coverage.h"
 #include "core/checkpoint.h"
 #include "core/framework.h"
-#include "diag/atpg_diagnosis.h"
 #include "diag/datagen.h"
 #include "lint/checks.h"
 #include "sta/collapse.h"
@@ -361,35 +361,6 @@ TEST(CollapseDifferentialTest, CoverageIsByteIdentical) {
   const CoverageResult sb = measure_coverage(d.netlist, d.sim, collapsed);
   EXPECT_EQ(sa.num_faults, sb.num_faults);
   EXPECT_EQ(sa.num_detected, sb.num_detected);
-}
-
-TEST(CollapseDifferentialTest, DiagnosisIsByteIdentical) {
-  const testing::SmallDesign d(7);
-  const DesignContext ctx = d.context();
-
-  DataGenOptions gen;
-  gen.num_samples = 6;
-  gen.seed = 23;
-  gen.miv_fault_prob = 0.3;
-  const std::vector<Sample> samples = generate_samples(ctx, gen);
-  ASSERT_FALSE(samples.empty());
-
-  DiagnosisOptions full;
-  DiagnosisOptions collapsed;
-  collapsed.collapse_equivalent_candidates = true;
-  for (const Sample& s : samples) {
-    const DiagnosisReport a = diagnose_atpg(ctx, s.log, full);
-    const DiagnosisReport b = diagnose_atpg(ctx, s.log, collapsed);
-    ASSERT_EQ(a.candidates.size(), b.candidates.size());
-    for (std::size_t i = 0; i < a.candidates.size(); ++i) {
-      EXPECT_EQ(a.candidates[i].fault, b.candidates[i].fault);
-      EXPECT_EQ(a.candidates[i].score, b.candidates[i].score);
-      EXPECT_EQ(a.candidates[i].tfsf, b.candidates[i].tfsf);
-      EXPECT_EQ(a.candidates[i].tfsp, b.candidates[i].tfsp);
-      EXPECT_EQ(a.candidates[i].tpsf, b.candidates[i].tpsf);
-      EXPECT_EQ(a.candidates[i].bit_tfsp, b.candidates[i].bit_tfsp);
-    }
-  }
 }
 
 // ---- Trainer preflight ------------------------------------------------------
