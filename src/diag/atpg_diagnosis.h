@@ -5,16 +5,22 @@
 //
 //  1. Effect-cause: for every erroneous tester response, take the nets of
 //     the failing observation points' fan-in cones — read from the design
-//     graph's cone index (HeteroGraph::cone, via DesignContext::graph), the
-//     same cones and response collector the back-trace uses — keeping nets
-//     that transition under the failing pattern; intersect the per-
-//     response suspect sets.  When the intersection dies (multi-fault dies),
-//     the engine switches to iterative covering: diagnose the strongest
-//     remaining fault, subtract the responses it explains, repeat.
+//     graph's net cones (HeteroGraph::net_cone, via DesignContext::graph),
+//     the distinct nets of the same cones the back-trace walks, with the
+//     same response collector — keeping nets that transition under the
+//     failing pattern; intersect the per-response suspect sets.  When the
+//     intersection dies (multi-fault dies), the engine switches to
+//     iterative covering: diagnose the strongest remaining fault, subtract
+//     the responses it explains, repeat.
 //  2. Cause-effect: enumerate candidate TDFs (stem + branch pins, both
 //     transition directions) and MIV delay faults on the suspect nets,
 //     fault-simulate each candidate, and score it by how well its predicted
-//     failure log matches the observed one (TFSF/TFSP/TPSF counts).  Each
+//     failure log matches the observed one (TFSF/TFSP/TPSF counts).  For a
+//     bypass log the predicted log is the candidate's sorted observation
+//     list cut at the log's fail memory, so one merge walk against the
+//     log's fails (sorted once per log) yields every count; a compacted log
+//     builds the predicted log (make_failure_log, truncate_failure_log),
+//     because XOR parity needs every aliased cell of a pattern.  Each
 //     candidate is simulated only on the pattern lanes the score reads
 //     (FaultSimulator::simulate with lane masks): the observed failing
 //     patterns, or every pattern up to the last of them when the log is
@@ -24,7 +30,9 @@
 //     candidate silent in the scored lanes scores <= 0 either way.
 //  3. Report: rank by score and keep the near-best candidates.  Only then
 //     is tpsf (read by no score when w_tpsf == 0) filled in, by one
-//     all-pattern simulation per reported candidate.
+//     all-pattern simulation per reported candidate and the same match.
+//     The iterative cover reads each candidate's predicted failing patterns
+//     through the same match.
 //
 // Resolution/accuracy/first-hit-index of these reports define the "ATPG
 // diagnosis report" columns of paper Tables V and VII.

@@ -81,58 +81,6 @@ int max_fanin(GateType type) {
   M3DFL_ASSERT(false);
 }
 
-bool has_output(GateType type) { return type != GateType::kPrimaryOutput; }
-
-bool is_combinational(GateType type) {
-  switch (type) {
-    case GateType::kPrimaryInput:
-    case GateType::kPrimaryOutput:
-    case GateType::kScanFlop:
-      return false;
-    default:
-      return true;
-  }
-}
-
-std::uint64_t eval_gate(GateType type,
-                        std::span<const std::uint64_t> inputs) {
-  switch (type) {
-    case GateType::kBuf:
-      M3DFL_ASSERT(inputs.size() == 1);
-      return inputs[0];
-    case GateType::kInv:
-      M3DFL_ASSERT(inputs.size() == 1);
-      return ~inputs[0];
-    case GateType::kAnd:
-    case GateType::kNand: {
-      M3DFL_ASSERT(inputs.size() >= 2);
-      std::uint64_t acc = inputs[0];
-      for (std::size_t i = 1; i < inputs.size(); ++i) acc &= inputs[i];
-      return type == GateType::kAnd ? acc : ~acc;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      M3DFL_ASSERT(inputs.size() >= 2);
-      std::uint64_t acc = inputs[0];
-      for (std::size_t i = 1; i < inputs.size(); ++i) acc |= inputs[i];
-      return type == GateType::kOr ? acc : ~acc;
-    }
-    case GateType::kXor:
-      M3DFL_ASSERT(inputs.size() == 2);
-      return inputs[0] ^ inputs[1];
-    case GateType::kXnor:
-      M3DFL_ASSERT(inputs.size() == 2);
-      return ~(inputs[0] ^ inputs[1]);
-    case GateType::kMux:
-      M3DFL_ASSERT(inputs.size() == 3);
-      // output = sel ? b : a, bitwise over the pattern word.
-      return (inputs[0] & inputs[2]) | (~inputs[0] & inputs[1]);
-    default:
-      // Ports and flops are not combinationally evaluated.
-      M3DFL_ASSERT(false);
-  }
-}
-
 bool eval_gate_scalar(GateType type, std::span<const bool> inputs) {
   std::uint64_t words[8];
   M3DFL_ASSERT(inputs.size() <= 8);

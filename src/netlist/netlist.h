@@ -15,11 +15,13 @@
 // Construction is two-phase: build with add_gate/add_net/set_output/
 // connect_input, then finalize().  finalize() validates the structure,
 // derives net sink lists, the combinational topological order, per-gate
-// levels, and the pin enumeration.  All queries require a finalized netlist.
+// levels, the pin enumeration, and the flat view the fault simulator's
+// inner loop reads (NetlistView).  All queries require a finalized netlist.
 #ifndef M3DFL_NETLIST_NETLIST_H_
 #define M3DFL_NETLIST_NETLIST_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,36 @@ struct Net {
   GateId driver = kNullGate;
   std::vector<PinRef> sinks;  // input pins reading this net (built by finalize)
   std::string name;
+};
+
+// The connectivity of a finalized netlist as flat arrays: fan-in nets and
+// sink gates as CSRs, plus per-gate type, output net and level.  It holds
+// the same facts as the Gate and Net vectors (same pin and sink order), laid
+// out so a simulation inner loop reads contiguous memory.  Derived by
+// finalize() and immutable until definalize().
+struct NetlistView {
+  std::vector<std::int32_t> fanin_offset;  // per gate, plus one end offset
+  std::vector<NetId> fanin_nets;           // Gate::fanin, gate after gate
+  std::vector<std::int32_t> sink_offset;   // per net, plus one end offset
+  std::vector<GateId> sink_gates;          // Net::sinks[i].gate, net by net
+  std::vector<GateType> type;              // per gate
+  std::vector<NetId> fanout;               // per gate (kNullNet for POs)
+  // Per gate (Netlist::level): a combinational gate is one more than its
+  // deepest fan-in driver, counting PIs and flop Qs as level 0, so it sits
+  // above every combinational gate it reads.  PIs are 0; POs and flops are
+  // one more than the driver of their input pin.
+  std::vector<std::int32_t> level;
+
+  std::span<const NetId> fanin(GateId g) const {
+    const auto i = static_cast<std::size_t>(g);
+    return {fanin_nets.data() + fanin_offset[i],
+            static_cast<std::size_t>(fanin_offset[i + 1] - fanin_offset[i])};
+  }
+  std::span<const GateId> sinks(NetId n) const {
+    const auto i = static_cast<std::size_t>(n);
+    return {sink_gates.data() + sink_offset[i],
+            static_cast<std::size_t>(sink_offset[i + 1] - sink_offset[i])};
+  }
 };
 
 class Netlist {
@@ -114,8 +146,10 @@ class Netlist {
   const std::vector<GateId>& topo_order() const { return topo_; }
   // Topological level: 0 for sources (PIs, flop Qs); a gate is one more than
   // its deepest fan-in driver.
-  std::int32_t level(GateId id) const { return levels_[check_gate(id)]; }
+  std::int32_t level(GateId id) const { return view_.level[check_gate(id)]; }
   std::int32_t max_level() const { return max_level_; }
+  // Flat connectivity arrays (see NetlistView).
+  const NetlistView& view() const { return view_; }
 
   // ---- Pin (fault-site) enumeration (finalized only) ----------------------
 
@@ -149,6 +183,7 @@ class Netlist {
   void build_sinks();
   void build_topo();
   void build_pins();
+  void build_view();
 
   std::string name_;
   std::vector<Gate> gates_;
@@ -160,7 +195,7 @@ class Netlist {
   std::vector<GateId> pos_;
   std::vector<GateId> flops_;
   std::vector<GateId> topo_;
-  std::vector<std::int32_t> levels_;
+  NetlistView view_;  // view_.level is filled by build_topo()
   std::int32_t max_level_ = 0;
   std::vector<PinId> pin_offset_;  // per gate: first global pin id
   PinId num_pins_ = 0;

@@ -8,15 +8,20 @@
 //
 // Two schedules share the scratch state:
 //  * Event-driven (single delay faults: TDFs and MIV delay faults).  From
-//    the fault site, gates are popped from a min-heap keyed by topological
-//    position; a gate's output is stored, and its sinks scheduled, only
-//    when it differs from the good V2 value in a requested lane.  The
-//    caller passes one lane mask per 64-pattern word, and only the masked
-//    differences at the flops and POs reached are reported.  Gate
-//    evaluation is bitwise, so every lane is an independent pattern and
-//    the requested lanes are exact; the other lanes are simply not
-//    computed.  simulate(const Fault&) and detects() take this path with
-//    every lane set.
+//    the fault site, scheduled gates wait in one queue per topological
+//    level and are evaluated level by level; a gate's sinks always sit at
+//    higher levels, so each gate is evaluated once per word, after all of
+//    its fan-in changes, and scheduling costs O(1).  A gate's output is
+//    stored, and its sinks scheduled, only when it differs from the good
+//    V2 value in a requested lane.  The caller passes one lane mask per
+//    64-pattern word, and only the masked differences at the flops and POs
+//    reached are reported.  Gate evaluation is bitwise, so every lane is an
+//    independent pattern and the requested lanes are exact; the other
+//    lanes are simply not computed.  simulate(const Fault&) and detects()
+//    take this path with every lane set.  The inner loop reads the
+//    netlist's flat view (Netlist::view(): fan-in and sink CSRs, per-gate
+//    type, output net and level), which finalize() derives once per
+//    netlist.
 //  * Cone-scheduled (static faults and multi-fault sets): the full fan-out
 //    cone is collected and evaluated in topological order over every
 //    pattern word.  simulate(std::span<const Fault>) always takes this
@@ -106,13 +111,13 @@ class FaultSimulator {
 
   Cone build_cone(std::span<const Fault> faults) const;
   // Event-driven path for one delay fault over the requested lanes;
-  // appends the failing observations (unsorted) to `out`, or with a null
+  // appends the failing observations, sorted, to `out`, or with a null
   // `out` returns at the first one.  Returns true if any lane fails.
   bool simulate_events(const Fault& fault,
                        std::span<const std::uint64_t> lanes,
                        std::vector<Observation>* out);
   // One pattern word of the fault loaded by simulate_events, restricted to
-  // `lanes`.
+  // `lanes`; its observations follow every earlier word's in `out`.
   bool simulate_word_events(FaultType type, std::int32_t w,
                             std::uint64_t lanes,
                             std::vector<Observation>* out);
@@ -144,9 +149,9 @@ class FaultSimulator {
   }
 
   const Netlist* netlist_;
+  const NetlistView* view_;  // netlist_->view()
   const LocSimulator* good_;
   const MivMap* mivs_;
-  std::vector<std::int32_t> topo_pos_;     // gate -> topo index (-1 non-comb)
   std::vector<std::int32_t> flop_index_;   // gate -> flop index (-1 otherwise)
   std::vector<std::int32_t> po_index_;     // gate -> PO index (-1 otherwise)
   // Versioned scratch values for the faulty machine (V2 and V1 planes).
@@ -157,13 +162,22 @@ class FaultSimulator {
   std::uint64_t version_ = 0;
   // Event-driven scratch: the current fault's faulty stem net (stem faults)
   // or faulty input pins (branch and MIV faults); per-gate "queued in this
-  // word" stamps; the min-heap of topological positions; and the flops and
-  // POs reached.
+  // word" stamps; one queue of scheduled gates per level, and the lowest and
+  // highest level queued in this word; and the flops and POs reached.
   NetId event_stem_ = kNullNet;
   std::vector<PinRef> event_branches_;
   std::vector<std::uint64_t> queued_;
-  std::vector<std::int32_t> heap_;
+  std::vector<std::vector<GateId>> level_queue_;
+  std::int32_t first_level_ = 0;
+  std::int32_t last_level_ = -1;
   std::vector<GateId> terminals_;
+  // The failing flops (at_po false) and POs of one word, with their lanes.
+  struct Hit {
+    bool at_po = false;
+    std::int32_t index = 0;
+    std::uint64_t diff = 0;
+  };
+  std::vector<Hit> hits_;
 };
 
 }  // namespace m3dfl

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <thread>
 
 #include "util/atomic_file.h"
 
@@ -74,6 +75,14 @@ std::string JsonObject::to_string() const {
   }
   os << "}";
   return os.str();
+}
+
+BenchJson::BenchJson(std::string bench_name)
+    : bench_name_(std::move(bench_name)) {
+  meta("nproc", static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  meta("compiler", M3DFL_COMPILER);
+  meta("build_type", M3DFL_BUILD_TYPE);
+  meta("git_sha", M3DFL_GIT_SHA);
 }
 
 BenchJson& BenchJson::meta(const std::string& key, JsonValue value) {

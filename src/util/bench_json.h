@@ -10,6 +10,10 @@
 //     "rows":  [ { ...one measurement point... }, ... ]
 //   }
 //
+// Every document's meta opens with the facts that make two runs comparable:
+// "nproc" (hardware threads), "compiler", "build_type", and "git_sha" (the
+// commit the build tree was configured at).
+//
 // Keys keep insertion order (deterministic output for diffing), values are
 // strings, bools, integers, or doubles (doubles rendered with enough digits
 // to round-trip; NaN/Inf are not valid JSON and are rendered as null).
@@ -63,8 +67,8 @@ class JsonObject {
 // The whole BENCH_*.json document.
 class BenchJson {
  public:
-  explicit BenchJson(std::string bench_name)
-      : bench_name_(std::move(bench_name)) {}
+  // Stamps the meta with nproc, compiler, build type and git sha.
+  explicit BenchJson(std::string bench_name);
 
   // Run-level facts (design, scale knobs, host thread count, ...).
   BenchJson& meta(const std::string& key, JsonValue value);

@@ -328,6 +328,27 @@ TEST(DiagnosisOracleTest, TpsfWeightScoresOnAllLanes) {
   EXPECT_GT(tally.candidates, 0);
 }
 
+// Compacted and fail-memory truncated, scored on every lane: the route that
+// keeps make_failure_log for XOR parity, with tpsf in the score.  Every
+// positive-score candidate is reported, so mispredicting ones are checked
+// too.
+TEST(DiagnosisOracleTest, NetcardCompactedTruncatedTpsfWeight) {
+  const auto design = Design::build(Profile::kNetcard, DesignConfig::kSyn1);
+  DiagnosisOptions options;
+  options.w_tpsf = 0.1;
+  options.keep_ratio = 0.0;
+  options.max_candidates = 1 << 20;
+  const std::vector<Sample> samples = profile_samples(*design, true, 8);
+  for (const Sample& s : samples) {
+    ASSERT_TRUE(s.log.compacted);
+    ASSERT_EQ(s.log.pattern_limit, 3);
+  }
+  OracleTally tally;
+  expect_report_matches_oracle(design->context(), samples, options, tally);
+  EXPECT_GT(tally.candidates, 0);
+  EXPECT_GT(tally.with_tpsf, 0);
+}
+
 TEST(DiagnosisTest, RejectsPatternsTheDesignDoesNotHave) {
   SmallDesign d(5);
   const auto samples = make_samples(d, 1, false);

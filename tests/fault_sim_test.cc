@@ -493,18 +493,19 @@ std::vector<std::vector<std::uint64_t>> random_lane_masks(
   return masks;
 }
 
-// Every pin x {STR, STF} plus every MIV: all lanes, eight lane masks and
-// detects() against the oracle.
+// Every `stride`-th pin x {STR, STF} plus every `stride`-th MIV: all lanes,
+// eight lane masks and detects() against the oracle.
 void expect_event_path_matches_oracle(const Netlist& nl,
                                       const LocSimulator& good,
-                                      const MivMap& mivs) {
+                                      const MivMap& mivs,
+                                      std::int32_t stride = 1) {
   FaultSimulator fsim(nl, good, &mivs);
   std::vector<Fault> faults;
-  for (PinId pin = 0; pin < nl.num_pins(); ++pin) {
+  for (PinId pin = 0; pin < nl.num_pins(); pin += stride) {
     faults.push_back(Fault::slow_to_rise(pin));
     faults.push_back(Fault::slow_to_fall(pin));
   }
-  for (MivId m = 0; m < mivs.num_mivs(); ++m) {
+  for (MivId m = 0; m < mivs.num_mivs(); m += stride) {
     faults.push_back(Fault::miv_delay(m));
   }
   const auto masks = random_lane_masks(good.num_words(), 0x1A7E);
@@ -539,6 +540,22 @@ TEST(EventDrivenFaultSimTest, MatchesConeOracleOnAesSyn1) {
   ASSERT_GT(design->mivs().num_mivs(), 0);
   expect_event_path_matches_oracle(design->netlist(), design->good_sim(),
                                    design->mivs());
+}
+
+// The large-pattern profiles, deeper logic and several pattern words, on a
+// strided pin sample to bound run time.
+TEST(EventDrivenFaultSimTest, MatchesConeOracleOnNetcardSyn1) {
+  const auto design = Design::build(Profile::kNetcard, DesignConfig::kSyn1);
+  ASSERT_GT(design->good_sim().num_words(), 4);
+  expect_event_path_matches_oracle(design->netlist(), design->good_sim(),
+                                   design->mivs(), 7);
+}
+
+TEST(EventDrivenFaultSimTest, MatchesConeOracleOnLeon3mpSyn2) {
+  const auto design = Design::build(Profile::kLeon3mp, DesignConfig::kSyn2);
+  ASSERT_GT(design->good_sim().num_words(), 4);
+  expect_event_path_matches_oracle(design->netlist(), design->good_sim(),
+                                   design->mivs(), 7);
 }
 
 TEST(EventDrivenFaultSimTest, StaticFaultsGiveTheOracleResult) {

@@ -189,6 +189,41 @@ TEST(HeteroGraphTest, ConeSizesSumToTopedges) {
   EXPECT_EQ(indexed, topedges + d.graph.num_topnodes());
 }
 
+TEST(HeteroGraphTest, NetConesAreTheConesDistinctNets) {
+  // Hand-checked on the tiny circuit: po0's cone reaches n6, n4, the flop's
+  // Q net and both PI nets, never n5.
+  TinyGraph t;
+  const auto net_cone = [&](std::int32_t obs) {
+    const std::span<const NetId> c = t.graph.net_cone(obs);
+    std::vector<NetId> v(c.begin(), c.end());
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  const auto sorted = [](std::vector<NetId> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  EXPECT_EQ(net_cone(0), sorted({t.c.n5, t.c.n4, t.c.n_pi0, t.c.n_pi1}));
+  EXPECT_EQ(net_cone(1),
+            sorted({t.c.n6, t.c.n4, t.c.n_q, t.c.n_pi0, t.c.n_pi1}));
+
+  // On a design with MIV nodes: each net once, exactly the nets of the cone.
+  const testing::SmallDesign d(4);
+  ASSERT_GT(d.mivs.num_mivs(), 0);
+  for (std::int32_t obs = 0; obs < d.graph.num_topnodes(); ++obs) {
+    std::vector<NetId> want;
+    for (NodeId u : d.graph.cone(obs)) {
+      if (d.graph.node_net(u) != kNullNet) want.push_back(d.graph.node_net(u));
+    }
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    const std::span<const NetId> c = d.graph.net_cone(obs);
+    std::vector<NetId> got(c.begin(), c.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "observation point " << obs;
+  }
+}
+
 TEST(HeteroGraphTest, DegreesMatchAdjacency) {
   testing::SmallDesign d(4);
   const HeteroGraph graph(d.netlist, d.tiers, d.mivs);

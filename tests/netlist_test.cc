@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/config.h"
+#include "dft/test_points.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -179,6 +181,85 @@ TEST(NetlistTest, QueriesRequireFinalized) {
   Netlist nl;
   nl.add_gate(GateType::kPrimaryInput);
   EXPECT_THROW(nl.output_pin(0), Error);
+}
+
+// ---- Flat view ---------------------------------------------------------------
+
+// The view holds exactly the Gate/Net facts, in pin and sink order, and its
+// levels put every combinational sink above its driver.
+void expect_view_matches_netlist(const Netlist& nl) {
+  const NetlistView& view = nl.view();
+  ASSERT_EQ(view.fanin_offset.size(),
+            static_cast<std::size_t>(nl.num_gates()) + 1);
+  ASSERT_EQ(view.sink_offset.size(),
+            static_cast<std::size_t>(nl.num_nets()) + 1);
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const Gate& gate = nl.gate(g);
+    const std::span<const NetId> fanin = view.fanin(g);
+    ASSERT_EQ(std::vector<NetId>(fanin.begin(), fanin.end()), gate.fanin)
+        << "gate " << g;
+    ASSERT_EQ(view.type[static_cast<std::size_t>(g)], gate.type);
+    ASSERT_EQ(view.fanout[static_cast<std::size_t>(g)], gate.fanout);
+    ASSERT_EQ(view.level[static_cast<std::size_t>(g)], nl.level(g));
+  }
+  std::int64_t combinational_edges = 0;
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    const Net& net = nl.net(n);
+    const std::span<const GateId> sinks = view.sinks(n);
+    ASSERT_EQ(sinks.size(), net.sinks.size()) << "net " << n;
+    // A flop's level is the depth of its D cone; as a driver its Q is a
+    // source, level 0.
+    const GateId driver = net.driver;
+    const std::int32_t driver_level =
+        nl.gate(driver).type == GateType::kScanFlop ? 0 : nl.level(driver);
+    for (std::size_t i = 0; i < sinks.size(); ++i) {
+      ASSERT_EQ(sinks[i], net.sinks[i].gate) << "net " << n << " sink " << i;
+      if (!is_combinational(nl.gate(sinks[i]).type)) continue;
+      ASSERT_GT(nl.level(sinks[i]), driver_level) << "net " << n;
+      ++combinational_edges;
+    }
+  }
+  EXPECT_GT(combinational_edges, 0);
+}
+
+TEST(NetlistViewTest, MatchesTheGateAndNetVectors) {
+  TinyCircuit c;
+  expect_view_matches_netlist(c.netlist);
+  expect_view_matches_netlist(testing::SmallDesign(7).netlist);
+}
+
+TEST(NetlistViewTest, IsRebuiltAfterDefinalize) {
+  TinyCircuit c;
+  Netlist& nl = c.netlist;
+  nl.definalize();
+  EXPECT_TRUE(nl.view().fanin_nets.empty());
+  const GateId buf = nl.add_gate(GateType::kBuf);
+  const NetId nb = nl.add_net();
+  nl.set_output(buf, nb);
+  nl.connect_input(buf, c.n4);
+  nl.reconnect_input(c.u1, 0, nb);
+  nl.finalize();
+  expect_view_matches_netlist(nl);
+  EXPECT_EQ(nl.view().sinks(nb).size(), 1u);
+}
+
+TEST(NetlistViewTest, MatchesOnEveryProfileBeforeAndAfterTestPoints) {
+  Netlist small = small_netlist(7);
+  insert_test_points(small, TestPointOptions{});
+  expect_view_matches_netlist(small);
+  for (const Profile profile : all_profiles()) {
+    const ProfileSpec spec = profile_spec(profile);
+    SCOPED_TRACE(spec.name);
+    for (const DesignConfig config : {DesignConfig::kSyn1, DesignConfig::kSyn2}) {
+      Netlist nl = generate_netlist(generator_for(spec, config));
+      expect_view_matches_netlist(nl);
+      // Test-point insertion definalizes, splices and finalizes again.
+      const std::int32_t gates = nl.num_gates();
+      insert_test_points(nl, spec.tpi);
+      ASSERT_GT(nl.num_gates(), gates);
+      expect_view_matches_netlist(nl);
+    }
+  }
 }
 
 // Property sweep over generated netlists.
