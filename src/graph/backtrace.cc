@@ -106,22 +106,36 @@ SuspectFilter::SuspectFilter(const HeteroGraph& graph,
 
 std::vector<NodeId> SuspectFilter::suspects(
     std::span<const std::int32_t> observation_points, std::int32_t pattern) {
+  const std::int32_t w = pattern / kWordBits;
+  const std::int32_t b = pattern % kWordBits;
+  const auto transitions = [&](NodeId u) {
+    const NetId net = graph_->node_net(u);
+    return net != kNullNet && ((good_->transition(net, w) >> b) & 1) != 0;
+  };
   std::vector<NodeId> suspects;
+  if (observation_points.size() == 1) {
+    // One cone lists each node once, sorted: filter it in place, without
+    // stamps or branches on the transition.
+    const std::span<const NodeId> cone = graph_->cone(observation_points[0]);
+    suspects.resize(cone.size());
+    std::size_t n = 0;
+    for (const NodeId u : cone) {
+      suspects[n] = u;
+      n += transitions(u) ? 1 : 0;
+    }
+    suspects.resize(n);
+    return suspects;
+  }
   ++stamp_;
   for (std::int32_t obs : observation_points) {
     for (NodeId u : graph_->cone(obs)) {
       if (seen_[static_cast<std::size_t>(u)] == stamp_) continue;
       seen_[static_cast<std::size_t>(u)] = stamp_;
-      const NetId net = graph_->node_net(u);
-      if (net != kNullNet && good_->has_transition(net, pattern)) {
-        suspects.push_back(u);
-      }
+      if (transitions(u)) suspects.push_back(u);
     }
   }
-  // One cone is already sorted; a union of several is not.
-  if (observation_points.size() > 1) {
-    std::sort(suspects.begin(), suspects.end());
-  }
+  // A union of several cones is not sorted.
+  std::sort(suspects.begin(), suspects.end());
   return suspects;
 }
 
