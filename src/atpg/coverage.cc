@@ -20,18 +20,12 @@ CoverageResult measure_coverage(const Netlist& netlist,
   FaultSimulator fsim(netlist, good);
   CoverageResult result;
   result.num_faults = static_cast<std::int32_t>(faults.size());
-  if (!options.collapse_faults) {
-    for (const Fault& f : faults) {
-      if (fsim.detects(f)) ++result.num_detected;
-    }
-    return result;
-  }
 
-  // Collapsed grading: the first fault seen from each equivalence class is
-  // simulated; its verdict stands in for later members.  Equivalence is
-  // observation-preserving, so the detected count matches the full run
-  // bit-for-bit (even under sampling, which only changes *which* member of
-  // a class is simulated first).
+  // The first fault seen from each equivalence class is simulated; its
+  // verdict stands in for later members.  Equivalence is observation-
+  // preserving, so the detected count matches a per-fault grading exactly
+  // (even under sampling, which only changes *which* member of a class is
+  // simulated first).
   const sta::CollapsedFaults collapsed = sta::collapse_tdf_faults(netlist);
   // Per-class verdict: -1 unknown, else 0/1.
   std::vector<std::int8_t> verdict(

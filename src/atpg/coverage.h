@@ -19,11 +19,6 @@ struct CoverageOptions {
   // this many faults.
   std::int32_t sample_faults = 0;
   std::uint64_t seed = 7;
-  // Simulate one member per structural equivalence class
-  // (sta::collapse_tdf_faults) and reuse its verdict for the rest.
-  // Equivalent faults have identical observations, so the graded result is
-  // byte-identical to the full run — only cheaper.
-  bool collapse_faults = false;
 };
 
 struct CoverageResult {
@@ -38,7 +33,10 @@ struct CoverageResult {
 };
 
 // Grades `patterns` against the design's TDF universe.  `good` must already
-// hold a run of the same pattern set.
+// hold a run of the same pattern set.  One member per structural
+// equivalence class (sta::collapse_tdf_faults) is simulated and its verdict
+// reused for the rest: equivalent faults have identical observations, so the
+// count is the one a per-fault grading gives.
 CoverageResult measure_coverage(const Netlist& netlist,
                                 const LocSimulator& good,
                                 const CoverageOptions& options);

@@ -266,9 +266,9 @@ std::vector<Fault> enumerate_candidates(const DesignContext& design,
 DiagnosisReport diagnose_cover(const DesignContext& design,
                                const LogMatcher& matcher,
                                const DiagnosisOptions& options,
-                               const std::vector<FailingResponse>& responses) {
+                               const std::vector<FailingResponse>& responses,
+                               FaultSimulator& fsim) {
   const Netlist& nl = *design.netlist;
-  FaultSimulator fsim(nl, *design.good, design.mivs);
 
   DiagnosisReport report;
   std::vector<FailingResponse> remaining = responses;
@@ -401,6 +401,7 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
                 "diagnosis mismatch weights must be non-negative");
   const Netlist& nl = *design.netlist;
   const LogMatcher matcher(design, log);
+  FaultSimulator fsim(nl, *design.good, design.mivs);
 
   // ---- Effect-cause: suspect nets -----------------------------------------
   std::vector<FailingResponse> responses =
@@ -423,7 +424,7 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
     // Multi-fault dies rarely share a common cone across all responses; the
     // standard remedy is iterative covering: diagnose the strongest
     // remaining fault, subtract the responses it explains, repeat.
-    return diagnose_cover(design, matcher, options, responses);
+    return diagnose_cover(design, matcher, options, responses, fsim);
   }
 
   // ---- Cause-effect: candidate enumeration and simulation -----------------
@@ -431,7 +432,6 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
       enumerate_candidates(design, suspects, options);
 
   const std::vector<std::int32_t>& observed = matcher.observed();
-  FaultSimulator fsim(nl, *design.good, design.mivs);
 
   // The pattern lanes the score reads.  With w_tpsf == 0 the score uses
   // only tfsf, tfsp and bit_tfsp, which depend on the candidate's behaviour
@@ -483,7 +483,7 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
   for (const Candidate& c : scored) have_perfect |= c.perfect();
   if (scored.empty() ||
       (options.include_stuck_at_candidates && !have_perfect)) {
-    return diagnose_cover(design, matcher, options, responses);
+    return diagnose_cover(design, matcher, options, responses, fsim);
   }
 
   // Rank by pattern-level score; within a tie the candidates are behaviour-

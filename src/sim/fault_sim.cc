@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <queue>
 
 namespace m3dfl {
 
@@ -12,6 +11,7 @@ FaultSimulator::FaultSimulator(const Netlist& netlist,
     : netlist_(&netlist), view_(&netlist.view()), good_(&good), mivs_(mivs) {
   M3DFL_REQUIRE(&good.netlist() == &netlist,
                 "good-machine results belong to a different netlist");
+  all_lanes_.assign(static_cast<std::size_t>(good.num_words()), ~0ULL);
   const auto n = static_cast<std::size_t>(netlist.num_gates());
   flop_index_.assign(n, -1);
   for (std::size_t i = 0; i < netlist.flops().size(); ++i) {
@@ -23,271 +23,63 @@ FaultSimulator::FaultSimulator(const Netlist& netlist,
     po_index_[static_cast<std::size_t>(netlist.primary_outputs()[i])] =
         static_cast<std::int32_t>(i);
   }
-  val_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
-  stamp_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
-  val1_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
-  stamp1_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
+  const auto nets = static_cast<std::size_t>(netlist.num_nets());
+  for (Plane& p : planes_) {
+    p.val.assign(nets, 0);
+    p.stamp.assign(nets, 0);
+  }
+  fault_slot_.assign(n, -1);
   queued_.assign(n, 0);
   level_queue_.resize(static_cast<std::size_t>(netlist.max_level()) + 1);
 }
 
-FaultSimulator::Cone FaultSimulator::build_cone(
-    std::span<const Fault> faults) const {
-  const Netlist& nl = *netlist_;
-  Cone cone;
-  std::vector<char> gate_seen(static_cast<std::size_t>(nl.num_gates()), 0);
-  std::vector<char> flop_seen(nl.flops().size(), 0);
-  std::vector<char> po_seen(nl.primary_outputs().size(), 0);
-  std::queue<GateId> frontier;
-
-  const auto touch_gate = [&](GateId g) {
-    if (gate_seen[static_cast<std::size_t>(g)]) return;
-    gate_seen[static_cast<std::size_t>(g)] = 1;
-    const Gate& gate = nl.gate(g);
-    if (is_combinational(gate.type)) {
-      frontier.push(g);
-    } else if (gate.type == GateType::kScanFlop) {
-      const std::int32_t fi = flop_index_[static_cast<std::size_t>(g)];
-      if (!flop_seen[static_cast<std::size_t>(fi)]) {
-        flop_seen[static_cast<std::size_t>(fi)] = 1;
-        cone.flops.push_back(fi);
-      }
-    } else if (gate.type == GateType::kPrimaryOutput) {
-      const std::int32_t pi = po_index_[static_cast<std::size_t>(g)];
-      if (!po_seen[static_cast<std::size_t>(pi)]) {
-        po_seen[static_cast<std::size_t>(pi)] = 1;
-        cone.pos.push_back(pi);
-      }
+void FaultSimulator::load(std::span<const Fault> faults) {
+  for (const GateFaults& gf : gate_faults_) {
+    fault_slot_[static_cast<std::size_t>(gf.gate)] = -1;
+  }
+  gate_faults_.clear();
+  has_static_ = false;
+  const auto at = [&](GateId g) -> GateFaults& {
+    std::int32_t& slot = fault_slot_[static_cast<std::size_t>(g)];
+    if (slot < 0) {
+      slot = static_cast<std::int32_t>(gate_faults_.size());
+      gate_faults_.push_back(GateFaults{g});
     }
+    return gate_faults_[static_cast<std::size_t>(slot)];
   };
-  const auto drain = [&] {
-    while (!frontier.empty()) {
-      const GateId g = frontier.front();
-      frontier.pop();
-      cone.gates.push_back(g);
-      const NetId out = nl.gate(g).fanout;
-      for (const PinRef& sink : nl.net(out).sinks) touch_gate(sink.gate);
-    }
+  const auto add_branch = [&](const PinRef& ref, FaultType type) {
+    GateFaults& gf = at(ref.gate);
+    gf.branches = static_cast<std::uint8_t>(gf.branches | (1u << ref.input));
+    gf.branch_type[static_cast<std::size_t>(ref.input)] = type;
   };
-
   for (const Fault& f : faults) {
-    cone.has_static = cone.has_static || f.is_static();
+    has_static_ = has_static_ || f.is_static();
     if (f.is_miv()) {
-      M3DFL_REQUIRE(mivs_ != nullptr,
-                    "MIV fault simulated without an MIV map");
-      const Miv& miv = mivs_->miv(f.miv);
-      for (const PinRef& sink : miv.far_sinks) {
-        cone.branches[nl.pin_id(sink)] = FaultType::kMivDelay;
-        touch_gate(sink.gate);
+      M3DFL_REQUIRE(mivs_ != nullptr, "MIV fault simulated without an MIV map");
+      for (const PinRef& sink : mivs_->miv(f.miv).far_sinks) {
+        add_branch(sink, FaultType::kMivDelay);
       }
-      continue;
-    }
-    const PinRef ref = nl.pin_ref(f.pin);
-    if (ref.is_output()) {
-      const NetId net = nl.gate(ref.gate).fanout;
-      M3DFL_ASSERT(net != kNullNet);
-      cone.stems.emplace(net, f.type);
-      for (const PinRef& sink : nl.net(net).sinks) touch_gate(sink.gate);
+    } else if (const PinRef ref = netlist_->pin_ref(f.pin); ref.is_output()) {
+      GateFaults& gf = at(ref.gate);
+      gf.stem = true;
+      gf.stem_type = f.type;
     } else {
-      cone.branches[f.pin] = f.type;
-      touch_gate(ref.gate);
+      add_branch(ref, f.type);
     }
   }
-  drain();
-  // Gates reachable in the launch-cycle cone (before the static extension
-  // below): stem overrides on nets driven from outside this set must be
-  // seeded in the launch cycle.
-  const std::vector<char> seen_v1 = gate_seen;
-
-  // Static faults corrupt the launch state: the flops reached in the V1 cone
-  // re-launch from faulty values, so the capture-cycle cone extends through
-  // their Q fan-out.  (Flops discovered during this extension capture at V2
-  // only — their launch is unaffected — so the extension runs once.)
-  if (cone.has_static) {
-    cone.gates_v1 = cone.gates;
-    cone.launch_flops = cone.flops;
-    for (std::int32_t fi : cone.launch_flops) {
-      const GateId ff = nl.flops()[static_cast<std::size_t>(fi)];
-      const NetId qnet = nl.gate(ff).fanout;
-      if (qnet == kNullNet) continue;
-      for (const PinRef& sink : nl.net(qnet).sinks) touch_gate(sink.gate);
-    }
-    drain();
-  }
-
-  // Level order is a topological order of the combinational gates.
-  const auto by_level = [&](GateId a, GateId b) {
-    const std::int32_t la = nl.level(a);
-    const std::int32_t lb = nl.level(b);
-    return la != lb ? la < lb : a < b;
-  };
-  std::sort(cone.gates.begin(), cone.gates.end(), by_level);
-  std::sort(cone.gates_v1.begin(), cone.gates_v1.end(), by_level);
-
-  // Stems whose driver is not re-evaluated in a cycle's schedule must be
-  // applied as seed values for that cycle.  The two cycles differ: the
-  // static extension can pull a stem's driver into the capture-cycle
-  // schedule (feedback through a re-launched flop) while the launch cycle
-  // still needs the seed.
-  for (const auto& [net, type] : cone.stems) {
-    (void)type;
-    const GateId driver = nl.net(net).driver;
-    const bool comb = is_combinational(nl.gate(driver).type);
-    if (!gate_seen[static_cast<std::size_t>(driver)] || !comb) {
-      cone.seed_stems.push_back(net);
-    }
-    if (!seen_v1[static_cast<std::size_t>(driver)] || !comb) {
-      cone.seed_stems_v1.push_back(net);
-    }
-  }
-  return cone;
 }
 
-bool FaultSimulator::simulate_word(const Cone& cone, std::int32_t w,
-                                   std::vector<Observation>* out) {
-  const Netlist& nl = *netlist_;
-  ++version_;
-  std::uint64_t inputs[8];
-
-  // ---- Launch cycle (static faults only) -----------------------------------
-  if (cone.has_static) {
-    for (NetId net : cone.seed_stems_v1) {
-      const FaultType type = cone.stems.at(net);
-      if (!is_static_fault(type)) continue;
-      const std::uint64_t cur = good_->v1(net, w);
-      const std::uint64_t f = faulty_value(type, cur, cur);
-      if (f != cur) set_value_v1(net, f);
-    }
-    for (GateId g : cone.gates_v1) {
-      const Gate& gate = nl.gate(g);
-      const std::size_t k = gate.fanin.size();
-      M3DFL_ASSERT(k <= 8);
-      for (std::size_t i = 0; i < k; ++i) {
-        const NetId net = gate.fanin[i];
-        std::uint64_t v = value_v1(net, w);
-        if (!cone.branches.empty()) {
-          const auto it = cone.branches.find(
-              nl.input_pin(g, static_cast<std::int32_t>(i)));
-          if (it != cone.branches.end() && is_static_fault(it->second)) {
-            v = faulty_value(it->second, v, v);
-          }
-        }
-        inputs[i] = v;
-      }
-      std::uint64_t outv =
-          eval_gate(gate.type, std::span<const std::uint64_t>(inputs, k));
-      const NetId out_net = gate.fanout;
-      const auto stem_it = cone.stems.find(out_net);
-      if (stem_it != cone.stems.end() && is_static_fault(stem_it->second)) {
-        outv = faulty_value(stem_it->second, outv, outv);
-      }
-      if (outv != good_->v1(out_net, w)) set_value_v1(out_net, outv);
-    }
-    // Re-launch the affected flops: their Q nets carry the faulty captured
-    // values through the at-speed cycle.
-    for (std::int32_t fi : cone.launch_flops) {
-      const GateId ff = nl.flops()[static_cast<std::size_t>(fi)];
-      const NetId dnet = nl.gate(ff).fanin[0];
-      std::uint64_t v = value_v1(dnet, w);
-      if (!cone.branches.empty()) {
-        const auto it = cone.branches.find(nl.input_pin(ff, 0));
-        if (it != cone.branches.end() && is_static_fault(it->second)) {
-          v = faulty_value(it->second, v, v);
-        }
-      }
-      const NetId qnet = nl.gate(ff).fanout;
-      if (qnet != kNullNet && v != good_->v2(qnet, w)) {
-        // Good launch state == good v1 of the D net == good v2 of the Q net.
-        set_value(qnet, v);
-      }
-    }
-  }
-
-  // ---- At-speed capture cycle ----------------------------------------------
-  for (NetId net : cone.seed_stems) {
-    const FaultType type = cone.stems.at(net);
-    const std::uint64_t cur = value(net, w);
-    const std::uint64_t f = faulty_value(type, value_v1(net, w), cur);
-    if (f != cur) set_value(net, f);
-  }
-
-  for (GateId g : cone.gates) {
-    const Gate& gate = nl.gate(g);
-    const std::size_t k = gate.fanin.size();
-    M3DFL_ASSERT(k <= 8);
-    for (std::size_t i = 0; i < k; ++i) {
-      const NetId net = gate.fanin[i];
-      std::uint64_t v = value(net, w);
-      if (!cone.branches.empty()) {
-        const auto it =
-            cone.branches.find(nl.input_pin(g, static_cast<std::int32_t>(i)));
-        if (it != cone.branches.end()) {
-          v = faulty_value(it->second, value_v1(net, w), v);
-        }
-      }
-      inputs[i] = v;
-    }
-    std::uint64_t outv =
-        eval_gate(gate.type, std::span<const std::uint64_t>(inputs, k));
-    const NetId out_net = gate.fanout;
-    const auto stem_it = cone.stems.find(out_net);
-    if (stem_it != cone.stems.end()) {
-      outv = faulty_value(stem_it->second, value_v1(out_net, w), outv);
-    }
-    if (outv != good_->v2(out_net, w)) {
-      set_value(out_net, outv);
-    } else if (stamp_[static_cast<std::size_t>(out_net)] == version_) {
-      // A launch-perturbed Q value may have seeded this net; the driver's
-      // re-evaluation settles it back to the good value.
-      set_value(out_net, outv);
-    }
-  }
-
-  const std::uint64_t mask = valid_mask(good_->num_patterns(), w);
-  bool any = false;
-  const auto emit = [&](std::uint64_t diff, bool at_po, std::int32_t index) {
-    diff &= mask;
-    if (diff == 0) return;
-    any = true;
-    if (out == nullptr) return;
-    while (diff != 0) {
-      const int b = std::countr_zero(diff);
-      diff &= diff - 1;
-      out->push_back(Observation{w * kWordBits + b, at_po, index});
-    }
-  };
-
-  for (std::int32_t fi : cone.flops) {
-    const GateId g = nl.flops()[static_cast<std::size_t>(fi)];
-    const NetId dnet = nl.gate(g).fanin[0];
-    std::uint64_t v = value(dnet, w);
-    if (!cone.branches.empty()) {
-      const auto it = cone.branches.find(nl.input_pin(g, 0));
-      if (it != cone.branches.end()) {
-        v = faulty_value(it->second, value_v1(dnet, w), v);
-      }
-    }
-    emit(v ^ good_->captured(fi, w), /*at_po=*/false, fi);
-  }
-  for (std::int32_t pi : cone.pos) {
-    const GateId g = nl.primary_outputs()[static_cast<std::size_t>(pi)];
-    const NetId onet = nl.gate(g).fanin[0];
-    std::uint64_t v = value(onet, w);
-    if (!cone.branches.empty()) {
-      const auto it = cone.branches.find(nl.input_pin(g, 0));
-      if (it != cone.branches.end()) {
-        v = faulty_value(it->second, value_v1(onet, w), v);
-      }
-    }
-    emit(v ^ good_->po_value(pi, w), /*at_po=*/true, pi);
-  }
-  return any;
+void FaultSimulator::begin_pass() {
+  ++pass_;
+  terminals_.clear();
+  first_level_ = static_cast<std::int32_t>(level_queue_.size());
+  last_level_ = -1;
 }
 
 void FaultSimulator::schedule(GateId g) {
   const auto gi = static_cast<std::size_t>(g);
-  if (queued_[gi] == version_) return;
-  queued_[gi] = version_;
+  if (queued_[gi] == pass_) return;
+  queued_[gi] = pass_;
   const GateType type = view_->type[gi];
   if (is_combinational(type)) {
     const std::int32_t level = view_->level[gi];
@@ -300,62 +92,125 @@ void FaultSimulator::schedule(GateId g) {
   }
 }
 
-bool FaultSimulator::simulate_word_events(FaultType type, std::int32_t w,
-                                          std::uint64_t lanes,
-                                          std::vector<Observation>* out) {
-  const NetlistView& view = *view_;
-  ++version_;
-  terminals_.clear();
-  first_level_ = static_cast<std::int32_t>(level_queue_.size());
-  last_level_ = -1;
+void FaultSimulator::schedule_sinks(NetId net) {
+  for (GateId sink : view_->sinks(net)) schedule(sink);
+}
 
-  // Inputs of gate g as the faulty machine sees them: the stored faulty
-  // values, with the fault's behaviour applied at its faulty input pins.
-  std::uint64_t inputs[8];
-  const auto load_inputs = [&](GateId g) {
-    const std::span<const NetId> fanin = view.fanin(g);
-    M3DFL_ASSERT(fanin.size() <= 8);
-    for (std::size_t i = 0; i < fanin.size(); ++i) {
-      inputs[i] = value(fanin[i], w);
-    }
-    for (const PinRef& b : event_branches_) {
-      if (b.gate != g) continue;
-      const auto i = static_cast<std::size_t>(b.input);
-      inputs[i] = faulty_value(type, good_->v1(fanin[i], w), inputs[i]);
-    }
-    return fanin.size();
-  };
-
-  if (event_stem_ != kNullNet) {
-    const std::uint64_t good = good_->v2(event_stem_, w);
-    const std::uint64_t f = faulty_value(type, good_->v1(event_stem_, w), good);
-    if (((f ^ good) & lanes) == 0) return false;
-    set_value(event_stem_, f);
-    for (GateId sink : view.sinks(event_stem_)) schedule(sink);
+// A static fault forces its constant in both cycles; a delay fault acts only
+// at capture, where it holds the site's launch value, the faulty V1.
+template <int kCycle>
+std::uint64_t FaultSimulator::apply(FaultType type, NetId net, std::int32_t w,
+                                    std::uint64_t v) const {
+  if constexpr (kCycle == kLaunch) {
+    return is_static_fault(type) ? faulty_value(type, v, v) : v;
+  } else {
+    return faulty_value(type, value<kLaunch>(net, w), v);
   }
-  for (const PinRef& b : event_branches_) schedule(b.gate);
+}
 
+template <int kCycle>
+std::size_t FaultSimulator::load_inputs(GateId g, std::int32_t w,
+                                        std::uint64_t* inputs) {
+  const auto gi = static_cast<std::size_t>(g);
+  const std::span<const NetId> fanin = view_->fanin(g);
+  M3DFL_ASSERT(fanin.size() <= 8);
+  for (std::size_t i = 0; i < fanin.size(); ++i) {
+    inputs[i] = value<kCycle>(fanin[i], w);
+  }
+  if (const GateFaults* gf = faults_at(gi)) {
+    for (unsigned m = gf->branches; m != 0; m &= m - 1) {
+      const auto i = static_cast<std::size_t>(std::countr_zero(m));
+      inputs[i] = apply<kCycle>(gf->branch_type[i], fanin[i], w, inputs[i]);
+    }
+  }
+  return fanin.size();
+}
+
+template <int kCycle>
+void FaultSimulator::seed(std::int32_t w, std::uint64_t lanes) {
+  const auto acts = [](FaultType type) {
+    return kCycle == kCapture || is_static_fault(type);
+  };
+  for (const GateFaults& gf : gate_faults_) {
+    if (gf.stem && acts(gf.stem_type)) {
+      // The stem's value as if its driver saw good inputs (a re-launched Q
+      // included); a driver reached later re-evaluates it.
+      const NetId net = view_->fanout[static_cast<std::size_t>(gf.gate)];
+      const std::uint64_t f =
+          apply<kCycle>(gf.stem_type, net, w, value<kCycle>(net, w));
+      set_value<kCycle>(net, f);
+      if (((f ^ good<kCycle>(net, w)) & lanes) != 0) schedule_sinks(net);
+    }
+    for (unsigned m = gf.branches; m != 0; m &= m - 1) {
+      if (acts(gf.branch_type[static_cast<std::size_t>(std::countr_zero(m))])) {
+        schedule(gf.gate);
+      }
+    }
+  }
+}
+
+template <int kCycle>
+void FaultSimulator::propagate(std::int32_t w, std::uint64_t lanes) {
+  const NetlistView& view = *view_;
+  std::uint64_t inputs[8];
   // Level by level: a gate's sinks sit at higher levels, so each gate is
   // evaluated once, after every fan-in change has arrived.
   for (std::int32_t level = first_level_; level <= last_level_; ++level) {
     std::vector<GateId>& queue = level_queue_[static_cast<std::size_t>(level)];
     for (const GateId g : queue) {
-      const std::size_t k = load_inputs(g);
-      const std::uint64_t outv =
-          eval_gate(view.type[static_cast<std::size_t>(g)],
-                    std::span<const std::uint64_t>(inputs, k));
-      const NetId out_net = view.fanout[static_cast<std::size_t>(g)];
-      if (((outv ^ good_->v2(out_net, w)) & lanes) == 0) continue;
-      set_value(out_net, outv);
-      for (GateId sink : view.sinks(out_net)) schedule(sink);
+      const auto gi = static_cast<std::size_t>(g);
+      const std::size_t k = load_inputs<kCycle>(g, w, inputs);
+      std::uint64_t outv = eval_gate(view.type[gi],
+                                     std::span<const std::uint64_t>(inputs, k));
+      const NetId out_net = view.fanout[gi];
+      if (const GateFaults* gf = faults_at(gi); gf != nullptr && gf->stem) {
+        // The driver of a seeded stem: its value replaces the seed, even
+        // when it is the good one.
+        outv = apply<kCycle>(gf->stem_type, out_net, w, outv);
+        set_value<kCycle>(out_net, outv);
+      }
+      if (((outv ^ good<kCycle>(out_net, w)) & lanes) == 0) continue;
+      set_value<kCycle>(out_net, outv);
+      schedule_sinks(out_net);
     }
     queue.clear();
   }
+}
+
+bool FaultSimulator::simulate_one_word(std::int32_t w, std::uint64_t lanes,
+                                       std::vector<Observation>* out) {
+  const NetlistView& view = *view_;
+  ++version_;
+  std::uint64_t inputs[8];
+
+  // Launch cycle (static faults only): the flops its pass reaches capture
+  // their faulty V1 at the launch edge, and their Q nets carry it through
+  // the capture cycle.  The good launch state is the good V2 of the Q net.
+  relaunched_.clear();
+  if (has_static_) {
+    begin_pass();
+    seed<kLaunch>(w, lanes);
+    propagate<kLaunch>(w, lanes);
+    for (const GateId g : terminals_) {
+      const NetId q = view.fanout[static_cast<std::size_t>(g)];
+      if (q == kNullNet) continue;  // a PO
+      load_inputs<kLaunch>(g, w, inputs);
+      if (((inputs[0] ^ good_->v2(q, w)) & lanes) == 0) continue;
+      set_value<kCapture>(q, inputs[0]);
+      relaunched_.push_back(q);
+    }
+  }
+
+  // At-speed capture cycle.
+  begin_pass();
+  for (const NetId q : relaunched_) schedule_sinks(q);
+  seed<kCapture>(w, lanes);
+  propagate<kCapture>(w, lanes);
 
   // The failing flops and POs of this word.
   hits_.clear();
-  for (GateId g : terminals_) {
-    load_inputs(g);
+  for (const GateId g : terminals_) {
+    load_inputs<kCapture>(g, w, inputs);
     // The good captured value (flop) or PO value is the good V2 of the
     // terminal's input net.
     const NetId in = view.fanin(g)[0];
@@ -400,81 +255,32 @@ bool FaultSimulator::simulate_word_events(FaultType type, std::int32_t w,
   return true;
 }
 
-bool FaultSimulator::simulate_events(const Fault& fault,
-                                     std::span<const std::uint64_t> lanes,
-                                     std::vector<Observation>* out) {
-  const Netlist& nl = *netlist_;
-  M3DFL_ASSERT(!fault.is_static());
-  event_stem_ = kNullNet;
-  event_branches_.clear();
-  if (fault.is_miv()) {
-    M3DFL_REQUIRE(mivs_ != nullptr, "MIV fault simulated without an MIV map");
-    const Miv& miv = mivs_->miv(fault.miv);
-    event_branches_.assign(miv.far_sinks.begin(), miv.far_sinks.end());
-  } else if (const PinRef ref = nl.pin_ref(fault.pin); ref.is_output()) {
-    event_stem_ = nl.gate(ref.gate).fanout;
-    M3DFL_ASSERT(event_stem_ != kNullNet);
-  } else {
-    event_branches_.push_back(ref);
-  }
-
+bool FaultSimulator::run(std::span<const Fault> faults,
+                         std::span<const std::uint64_t> lanes,
+                         std::vector<Observation>* out) {
+  M3DFL_REQUIRE(static_cast<std::int32_t>(lanes.size()) == good_->num_words(),
+                "one lane mask per pattern word expected");
+  load(faults);
   bool any = false;
   for (std::int32_t w = 0; w < good_->num_words(); ++w) {
     const std::uint64_t mask = lanes[static_cast<std::size_t>(w)] &
                                valid_mask(good_->num_patterns(), w);
     if (mask == 0) continue;
-    any |= simulate_word_events(fault.type, w, mask, out);
+    any |= simulate_one_word(w, mask, out);
     if (any && out == nullptr) return true;
   }
   return any;
 }
 
-std::vector<Observation> FaultSimulator::simulate(const Fault& fault) {
-  if (fault.is_static()) return simulate(std::span<const Fault>(&fault, 1));
-  const std::vector<std::uint64_t> all(
-      static_cast<std::size_t>(good_->num_words()), ~0ULL);
-  return simulate(fault, all);
-}
-
 std::vector<Observation> FaultSimulator::simulate(
-    const Fault& fault, std::span<const std::uint64_t> lanes) {
-  M3DFL_REQUIRE(static_cast<std::int32_t>(lanes.size()) == good_->num_words(),
-                "one lane mask per pattern word expected");
+    std::span<const Fault> faults, std::span<const std::uint64_t> lanes) {
   std::vector<Observation> out;
-  if (fault.is_static()) {
-    out = simulate(std::span<const Fault>(&fault, 1));
-    std::erase_if(out, [&](const Observation& o) {
-      return ((lanes[static_cast<std::size_t>(o.pattern / kWordBits)] >>
-               (o.pattern % kWordBits)) & 1) == 0;
-    });
-    return out;
-  }
-  simulate_events(fault, lanes, &out);
-  return out;
-}
-
-std::vector<Observation> FaultSimulator::simulate(
-    std::span<const Fault> faults) {
-  const Cone cone = build_cone(faults);
-  std::vector<Observation> out;
-  for (std::int32_t w = 0; w < good_->num_words(); ++w) {
-    simulate_word(cone, w, &out);
-  }
-  std::sort(out.begin(), out.end());
+  run(faults, lanes, &out);
   return out;
 }
 
 bool FaultSimulator::detects(const Fault& fault) {
-  if (!fault.is_static()) {
-    const std::vector<std::uint64_t> all(
-        static_cast<std::size_t>(good_->num_words()), ~0ULL);
-    return simulate_events(fault, all, nullptr);
-  }
-  const Cone cone = build_cone(std::span<const Fault>(&fault, 1));
-  for (std::int32_t w = 0; w < good_->num_words(); ++w) {
-    if (simulate_word(cone, w, nullptr)) return true;
-  }
-  return false;
+  return run(std::span<const Fault>(&fault, 1), all_lanes_, nullptr);
 }
 
 }  // namespace m3dfl

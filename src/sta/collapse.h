@@ -17,7 +17,7 @@
 // one representative per direction.  Equivalence is observation-preserving:
 // any simulator result (detection bit or full observation list) computed for
 // one member is byte-identical for every member, which is what makes the
-// opt-in collapsed coverage path in atpg/coverage exact rather than
+// collapsed coverage grading in atpg/coverage exact rather than
 // approximate.
 //
 // Dominance (an output fault of an AND/OR/NAND/NOR whose tests are a

@@ -5,6 +5,7 @@
 #include <string>
 #include <tuple>
 
+#include "baseline_fault_sim.h"
 #include "core/pipeline.h"
 #include "diag/atpg_diagnosis.h"
 #include "diag/metrics.h"
@@ -227,14 +228,13 @@ void expect_report_matches_oracle(const DesignContext& ctx,
                                   const std::vector<Sample>& samples,
                                   const DiagnosisOptions& options,
                                   OracleTally& tally) {
-  FaultSimulator oracle(*ctx.netlist, *ctx.good, ctx.mivs);
+  testing::BaselineFaultSim oracle(*ctx.netlist, *ctx.good, ctx.mivs);
   for (const Sample& s : samples) {
     const std::set<std::int32_t> observed = failing_patterns(s.log);
     const std::set<BitKey> observed_bits = failing_bits(s.log);
     const DiagnosisReport report = diagnose_atpg(ctx, s.log, options);
     for (const Candidate& c : report.candidates) {
-      const std::vector<Observation> raw =
-          oracle.simulate(std::span<const Fault>(&c.fault, 1));
+      const std::vector<Observation> raw = oracle.simulate(c.fault);
       const FailureLog full = make_failure_log(
           raw, *ctx.scan, s.log.compacted ? ctx.compactor : nullptr);
       const FailureLog predicted =

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline_fault_sim.h"
 #include "core/pipeline.h"
+#include "diag/datagen.h"
 #include "m3d/partition.h"
 #include "sim/fault_sim.h"
 #include "sta/collapse.h"
@@ -12,9 +14,11 @@
 namespace m3dfl {
 namespace {
 
+using testing::BaselineFaultSim;
+
 // Brute-force reference: full scalar re-simulation of the faulty machine,
-// one pattern at a time, with no cone extraction or word packing.  Anything
-// the event-driven simulator reports must match this.
+// one pattern at a time, with no cone extraction or word packing.  Both the
+// event kernel and the cone-scheduled baseline must match this.
 class ReferenceSim {
  public:
   ReferenceSim(const Netlist& nl, const PatternSet& patterns,
@@ -197,6 +201,47 @@ class ReferenceSim {
   const MivMap* mivs_;
 };
 
+// An oracle's observations restricted to the lanes set in `lanes`.
+std::vector<Observation> in_lanes(std::vector<Observation> obs,
+                                  const std::vector<std::uint64_t>& lanes) {
+  std::erase_if(obs, [&](const Observation& o) {
+    return ((lanes[static_cast<std::size_t>(o.pattern / kWordBits)] >>
+             (o.pattern % kWordBits)) & 1) == 0;
+  });
+  return obs;
+}
+
+// Eight seeded lane masks from dense (half the lanes) to sparse (one in 16).
+std::vector<std::vector<std::uint64_t>> random_lane_masks(
+    std::int32_t num_words, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::uint64_t>> masks;
+  for (int k = 0; k < 8; ++k) {
+    std::vector<std::uint64_t> mask(static_cast<std::size_t>(num_words));
+    for (std::uint64_t& word : mask) {
+      word = ~0ULL;
+      for (int j = 0; j <= k % 4; ++j) word &= rng.next_u64();
+    }
+    masks.push_back(std::move(mask));
+  }
+  return masks;
+}
+
+// The kernel on one fault set against an oracle's all-lane result `want`:
+// all lanes, and each of `masks`.
+void expect_kernel_matches(FaultSimulator& fsim, std::span<const Fault> faults,
+                           const std::vector<Observation>& want,
+                           const std::vector<std::vector<std::uint64_t>>& masks,
+                           const Netlist& nl) {
+  std::string what;
+  for (const Fault& f : faults) what += fault_to_string(nl, f) + " ";
+  ASSERT_EQ(fsim.simulate(faults), want) << what;
+  for (std::size_t k = 0; k < masks.size(); ++k) {
+    ASSERT_EQ(fsim.simulate(faults, masks[k]), in_lanes(want, masks[k]))
+        << what << "mask " << k;
+  }
+}
+
 struct SimSetup {
   Netlist nl;
   TierAssignment tiers;
@@ -224,6 +269,7 @@ class FaultSimVsReference : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FaultSimVsReference, RandomTdfFaultsMatch) {
   SimSetup s(GetParam());
   FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  BaselineFaultSim base(s.nl, s.sim, &s.mivs);
   ReferenceSim ref(s.nl, s.patterns, &s.mivs);
   Rng rng(GetParam() ^ 0xBEEF);
   for (int trial = 0; trial < 25; ++trial) {
@@ -232,8 +278,9 @@ TEST_P(FaultSimVsReference, RandomTdfFaultsMatch) {
             static_cast<std::uint64_t>(s.nl.num_pins())));
     const Fault f = rng.next_bool() ? Fault::slow_to_rise(pin)
                                     : Fault::slow_to_fall(pin);
-    EXPECT_EQ(fsim.simulate(f), ref.simulate({&f, 1}))
-        << fault_to_string(s.nl, f);
+    const std::vector<Observation> want = ref.simulate({&f, 1});
+    EXPECT_EQ(fsim.simulate(f), want) << fault_to_string(s.nl, f);
+    EXPECT_EQ(base.simulate(f), want) << fault_to_string(s.nl, f);
   }
 }
 
@@ -241,20 +288,24 @@ TEST_P(FaultSimVsReference, MivFaultsMatch) {
   SimSetup s(GetParam());
   ASSERT_GT(s.mivs.num_mivs(), 0);
   FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  BaselineFaultSim base(s.nl, s.sim, &s.mivs);
   ReferenceSim ref(s.nl, s.patterns, &s.mivs);
   Rng rng(GetParam() ^ 0xCAFE);
   for (int trial = 0; trial < 10; ++trial) {
     const Fault f = Fault::miv_delay(static_cast<MivId>(
         rng.next_below(static_cast<std::uint64_t>(s.mivs.num_mivs()))));
-    EXPECT_EQ(fsim.simulate(f), ref.simulate({&f, 1}))
-        << fault_to_string(s.nl, f);
+    const std::vector<Observation> want = ref.simulate({&f, 1});
+    EXPECT_EQ(fsim.simulate(f), want) << fault_to_string(s.nl, f);
+    EXPECT_EQ(base.simulate(f), want) << fault_to_string(s.nl, f);
   }
 }
 
 TEST_P(FaultSimVsReference, MultiFaultsMatch) {
   SimSetup s(GetParam());
   FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  BaselineFaultSim base(s.nl, s.sim, &s.mivs);
   ReferenceSim ref(s.nl, s.patterns, &s.mivs);
+  const auto masks = random_lane_masks(s.sim.num_words(), GetParam());
   Rng rng(GetParam() ^ 0xD00D);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Fault> faults;
@@ -265,31 +316,35 @@ TEST_P(FaultSimVsReference, MultiFaultsMatch) {
       faults.push_back(rng.next_bool() ? Fault::slow_to_rise(pin)
                                        : Fault::slow_to_fall(pin));
     }
-    EXPECT_EQ(fsim.simulate(std::span<const Fault>(faults.data(),
-                                                   faults.size())),
-              ref.simulate(std::span<const Fault>(faults.data(),
-                                                  faults.size())));
+    const std::vector<Observation> want = ref.simulate(faults);
+    EXPECT_EQ(base.simulate(faults), want);
+    expect_kernel_matches(fsim, faults, want, masks, s.nl);
   }
 }
 
 TEST_P(FaultSimVsReference, StuckAtFaultsMatch) {
   SimSetup s(GetParam());
   FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  BaselineFaultSim base(s.nl, s.sim, &s.mivs);
   ReferenceSim ref(s.nl, s.patterns, &s.mivs);
+  const auto masks = random_lane_masks(s.sim.num_words(), GetParam());
   Rng rng(GetParam() ^ 0x5A5A);
   for (int trial = 0; trial < 20; ++trial) {
     const PinId pin = static_cast<PinId>(
         rng.next_below(static_cast<std::uint64_t>(s.nl.num_pins())));
     const Fault f = Fault::stuck_at(pin, rng.next_bool());
-    EXPECT_EQ(fsim.simulate(f), ref.simulate({&f, 1}))
-        << fault_to_string(s.nl, f);
+    const std::vector<Observation> want = ref.simulate({&f, 1});
+    EXPECT_EQ(base.simulate(f), want) << fault_to_string(s.nl, f);
+    expect_kernel_matches(fsim, {&f, 1}, want, masks, s.nl);
   }
 }
 
 TEST_P(FaultSimVsReference, MixedStaticAndDelayFaultsMatch) {
   SimSetup s(GetParam());
   FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  BaselineFaultSim base(s.nl, s.sim, &s.mivs);
   ReferenceSim ref(s.nl, s.patterns, &s.mivs);
+  const auto masks = random_lane_masks(s.sim.num_words(), GetParam());
   Rng rng(GetParam() ^ 0x1234);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Fault> faults;
@@ -303,10 +358,9 @@ TEST_P(FaultSimVsReference, MixedStaticAndDelayFaultsMatch) {
         default: faults.push_back(Fault::stuck_at(pin, true)); break;
       }
     }
-    EXPECT_EQ(fsim.simulate(std::span<const Fault>(faults.data(),
-                                                   faults.size())),
-              ref.simulate(std::span<const Fault>(faults.data(),
-                                                  faults.size())));
+    const std::vector<Observation> want = ref.simulate(faults);
+    EXPECT_EQ(base.simulate(faults), want);
+    expect_kernel_matches(fsim, faults, want, masks, s.nl);
   }
 }
 
@@ -352,6 +406,23 @@ TEST(FaultSimTest, StuckAtCorruptsLaunchState) {
   ASSERT_EQ(obs.size(), 2u);
   EXPECT_EQ(obs[0], (Observation{0, false, 0}));  // ffa: 0 -> 1
   EXPECT_EQ(obs[1], (Observation{0, false, 1}));  // ffb: 1 -> 0
+
+  // A delay fault on ffa's Q acts on the re-launched value: Q rises from
+  // its scan load 0 to the faulty launch 1, which a slow-to-fall fault lets
+  // through (ffb still fails) and a slow-to-rise fault holds at 0 (ffb
+  // captures the good 1).
+  const Fault sa1 = Fault::stuck_at(nl.output_pin(pi), true);
+  const std::vector<Fault> with_stf = {sa1,
+                                       Fault::slow_to_fall(nl.output_pin(ffa))};
+  const std::vector<Fault> with_str = {sa1,
+                                       Fault::slow_to_rise(nl.output_pin(ffa))};
+  EXPECT_EQ(fsim.simulate(with_stf), obs);
+  EXPECT_EQ(fsim.simulate(with_str),
+            std::vector<Observation>{(Observation{0, false, 0})});
+  BaselineFaultSim base(nl, sim);
+  EXPECT_EQ(base.simulate(with_stf), obs);
+  EXPECT_EQ(base.simulate(with_str),
+            std::vector<Observation>{(Observation{0, false, 0})});
 }
 
 TEST(FaultSimTest, DetectsAgreesWithSimulate) {
@@ -460,46 +531,19 @@ TEST(FaultSimTest, UnactivatedFaultYieldsNoObservations) {
   EXPECT_GT(checked, 0);
 }
 
-// ---- Event-driven path vs the cone-scheduled oracle --------------------------
+// ---- Event kernel vs the cone-scheduled baseline ----------------------------
 //
-// simulate(const Fault&), simulate(fault, lanes) and detects() take the
-// event-driven path for delay faults; the span overload is always
-// cone-scheduled and serves as the oracle (itself checked against the
-// scalar ReferenceSim above).
-
-// The oracle's observations restricted to the lanes set in `lanes`.
-std::vector<Observation> in_lanes(std::vector<Observation> obs,
-                                  const std::vector<std::uint64_t>& lanes) {
-  std::erase_if(obs, [&](const Observation& o) {
-    return ((lanes[static_cast<std::size_t>(o.pattern / kWordBits)] >>
-             (o.pattern % kWordBits)) & 1) == 0;
-  });
-  return obs;
-}
-
-// Eight seeded lane masks from dense (half the lanes) to sparse (one in 16).
-std::vector<std::vector<std::uint64_t>> random_lane_masks(
-    std::int32_t num_words, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<std::uint64_t>> masks;
-  for (int k = 0; k < 8; ++k) {
-    std::vector<std::uint64_t> mask(static_cast<std::size_t>(num_words));
-    for (std::uint64_t& word : mask) {
-      word = ~0ULL;
-      for (int j = 0; j <= k % 4; ++j) word &= rng.next_u64();
-    }
-    masks.push_back(std::move(mask));
-  }
-  return masks;
-}
+// BaselineFaultSim (tests/baseline_fault_sim.h) is the design-scale oracle:
+// it is itself checked against the scalar ReferenceSim above.
 
 // Every `stride`-th pin x {STR, STF} plus every `stride`-th MIV: all lanes,
-// eight lane masks and detects() against the oracle.
+// eight lane masks and detects() against the baseline.
 void expect_event_path_matches_oracle(const Netlist& nl,
                                       const LocSimulator& good,
                                       const MivMap& mivs,
                                       std::int32_t stride = 1) {
   FaultSimulator fsim(nl, good, &mivs);
+  BaselineFaultSim base(nl, good, &mivs);
   std::vector<Fault> faults;
   for (PinId pin = 0; pin < nl.num_pins(); pin += stride) {
     faults.push_back(Fault::slow_to_rise(pin));
@@ -512,8 +556,7 @@ void expect_event_path_matches_oracle(const Netlist& nl,
   std::int64_t detected = 0;
   std::int64_t masked_observations = 0;
   for (const Fault& f : faults) {
-    const std::vector<Observation> oracle =
-        fsim.simulate(std::span<const Fault>(&f, 1));
+    const std::vector<Observation> oracle = base.simulate(f);
     ASSERT_EQ(fsim.simulate(f), oracle) << fault_to_string(nl, f);
     ASSERT_EQ(fsim.detects(f), !oracle.empty()) << fault_to_string(nl, f);
     detected += oracle.empty() ? 0 : 1;
@@ -561,12 +604,12 @@ TEST(EventDrivenFaultSimTest, MatchesConeOracleOnLeon3mpSyn2) {
 TEST(EventDrivenFaultSimTest, StaticFaultsGiveTheOracleResult) {
   const testing::SmallDesign d(7);
   FaultSimulator fsim(d.netlist, d.sim, &d.mivs);
+  BaselineFaultSim base(d.netlist, d.sim, &d.mivs);
   const auto masks = random_lane_masks(d.sim.num_words(), 0x57A7);
   for (PinId pin = 0; pin < d.netlist.num_pins(); ++pin) {
     for (const bool value : {false, true}) {
       const Fault f = Fault::stuck_at(pin, value);
-      const std::vector<Observation> oracle =
-          fsim.simulate(std::span<const Fault>(&f, 1));
+      const std::vector<Observation> oracle = base.simulate(f);
       ASSERT_EQ(fsim.simulate(f), oracle) << fault_to_string(d.netlist, f);
       ASSERT_EQ(fsim.detects(f), !oracle.empty());
       for (const auto& mask : masks) {
@@ -575,6 +618,97 @@ TEST(EventDrivenFaultSimTest, StaticFaultsGiveTheOracleResult) {
       }
     }
   }
+}
+
+// Fault sets against the baseline: all lanes, eight lane masks, and
+// detects() on every member.
+void expect_sets_match_baseline(const Netlist& nl, const LocSimulator& good,
+                                const MivMap& mivs,
+                                const std::vector<std::vector<Fault>>& sets) {
+  FaultSimulator fsim(nl, good, &mivs);
+  BaselineFaultSim base(nl, good, &mivs);
+  const auto masks = random_lane_masks(good.num_words(), 0x5E75);
+  std::int64_t failing = 0;
+  for (const std::vector<Fault>& set : sets) {
+    const std::vector<Observation> oracle = base.simulate(set);
+    expect_kernel_matches(fsim, set, oracle, masks, nl);
+    for (const Fault& f : set) {
+      ASSERT_EQ(fsim.detects(f), !base.simulate(f).empty())
+          << fault_to_string(nl, f);
+    }
+    failing += oracle.empty() ? 0 : 1;
+  }
+  // The comparison must not be vacuous.
+  EXPECT_GT(failing, static_cast<std::int64_t>(sets.size()) / 2);
+}
+
+// 2-5 TDFs in one tier, drawn as Table X draws them (paper Sec. VII-A).
+std::vector<std::vector<Fault>> table10_sets(const Design& design) {
+  DataGenOptions opt;
+  opt.num_samples = 120;
+  opt.min_faults = 2;
+  opt.max_faults = 5;
+  opt.seed = 0x7AB10;
+  std::vector<std::vector<Fault>> sets;
+  for (const Sample& s : generate_samples(design.context(), opt)) {
+    sets.push_back(s.faults);
+  }
+  return sets;
+}
+
+// 2-4 pin faults of any type (STR, STF, SA0, SA1), plus an MIV delay fault
+// in every other set, with no detectability filter.
+std::vector<std::vector<Fault>> mixed_sets(const Netlist& nl,
+                                           const MivMap& mivs,
+                                           std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<Fault>> sets(120);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const int k = 2 + static_cast<int>(rng.next_below(3));
+    for (int j = 0; j < k; ++j) {
+      const PinId pin = static_cast<PinId>(
+          rng.next_below(static_cast<std::uint64_t>(nl.num_pins())));
+      switch (rng.next_below(4)) {
+        case 0: sets[i].push_back(Fault::slow_to_rise(pin)); break;
+        case 1: sets[i].push_back(Fault::slow_to_fall(pin)); break;
+        case 2: sets[i].push_back(Fault::stuck_at(pin, false)); break;
+        default: sets[i].push_back(Fault::stuck_at(pin, true)); break;
+      }
+    }
+    if (i % 2 == 0) {
+      sets[i].push_back(Fault::miv_delay(static_cast<MivId>(
+          rng.next_below(static_cast<std::uint64_t>(mivs.num_mivs())))));
+    }
+  }
+  return sets;
+}
+
+TEST(EventDrivenFaultSimTest, TableXSetsMatchBaselineOnAesSyn1) {
+  const auto design = Design::build(Profile::kAes, DesignConfig::kSyn1);
+  expect_sets_match_baseline(design->netlist(), design->good_sim(),
+                             design->mivs(), table10_sets(*design));
+}
+
+TEST(EventDrivenFaultSimTest, TableXSetsMatchBaselineOnNetcardSyn1) {
+  const auto design = Design::build(Profile::kNetcard, DesignConfig::kSyn1);
+  expect_sets_match_baseline(design->netlist(), design->good_sim(),
+                             design->mivs(), table10_sets(*design));
+}
+
+TEST(EventDrivenFaultSimTest, MixedSetsMatchBaselineOnAesSyn1) {
+  const auto design = Design::build(Profile::kAes, DesignConfig::kSyn1);
+  ASSERT_GT(design->mivs().num_mivs(), 0);
+  expect_sets_match_baseline(
+      design->netlist(), design->good_sim(), design->mivs(),
+      mixed_sets(design->netlist(), design->mivs(), 0x3141));
+}
+
+TEST(EventDrivenFaultSimTest, MixedSetsMatchBaselineOnNetcardSyn1) {
+  const auto design = Design::build(Profile::kNetcard, DesignConfig::kSyn1);
+  ASSERT_GT(design->mivs().num_mivs(), 0);
+  expect_sets_match_baseline(
+      design->netlist(), design->good_sim(), design->mivs(),
+      mixed_sets(design->netlist(), design->mivs(), 0x2718));
 }
 
 TEST(EventDrivenFaultSimTest, RejectsAMaskPerWordMismatch) {

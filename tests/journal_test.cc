@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "lint/checks.h"
+#include "scratch_dir.h"
 #include "serve/fault_injector.h"
 #include "serve/journal.h"
 #include "serve/metrics.h"
@@ -30,9 +31,7 @@ std::string corpus_path(const std::string& name) {
 
 // Fresh scratch directory per test.
 std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("journal_" + name);
-  fs::remove_all(dir);
-  return dir.string();
+  return testing::scratch_dir("journal_" + name).string();
 }
 
 // Builds one frame exactly as the writer does, so tests can compose

@@ -27,6 +27,7 @@
 
 #include "core/pipeline.h"
 #include "diag/log_io.h"
+#include "scratch_dir.h"
 #include "serve/fault_injector.h"
 #include "serve/journal.h"
 #include "serve/service.h"
@@ -81,9 +82,7 @@ class RecoveryChaosTest : public ::testing::Test {
   }
 
   static std::string scratch_dir(const std::string& name) {
-    const fs::path dir = fs::path(::testing::TempDir()) / ("recovery_" + name);
-    fs::remove_all(dir);
-    return dir.string();
+    return testing::scratch_dir("recovery_" + name).string();
   }
 
   // Body lines of the faillog text feed (header handled by the session).

@@ -7,10 +7,10 @@
 //  * structural collapsing on a fanout-free chain (16 faults -> 2 classes,
 //    inverter direction flip) and dominance on AND inputs;
 //  * untestability: scan-blocked cones and the slack-margin criterion;
-//  * a differential proof that the opt-in collapsed coverage path in
-//    atpg/coverage is byte-identical to the full run (fault_sim_test checks
-//    that every member of a collapse class simulates identically), plus the
-//    trainer's sta preflight and the timing lint pass with exact locations.
+//  * a differential proof that atpg/coverage's collapsed grading counts
+//    what a per-fault grading counts (fault_sim_test checks that every
+//    member of a collapse class simulates identically), plus the trainer's
+//    sta preflight and the timing lint pass with exact locations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,14 +18,17 @@
 #include <vector>
 
 #include "atpg/coverage.h"
+#include "atpg/tdf_atpg.h"
 #include "core/checkpoint.h"
 #include "core/framework.h"
 #include "diag/datagen.h"
 #include "lint/checks.h"
+#include "sim/fault_sim.h"
 #include "sta/collapse.h"
 #include "sta/lint_bridge.h"
 #include "sta/sta.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace m3dfl {
 namespace {
@@ -343,22 +346,40 @@ TEST(CollapseTest, RepresentativesCoverEveryClassOnGeneratedDesign) {
 
 // ---- Differential proofs ----------------------------------------------------
 
+// What measure_coverage grades, fault by fault: the same universe, the same
+// sample, one detects() per fault.
+CoverageResult per_fault_coverage(const Netlist& nl, const LocSimulator& sim,
+                                  const CoverageOptions& options) {
+  std::vector<Fault> faults = enumerate_tdf_faults(nl);
+  if (options.sample_faults > 0 &&
+      options.sample_faults < static_cast<std::int32_t>(faults.size())) {
+    Rng rng(options.seed);
+    rng.shuffle(faults);
+    faults.resize(static_cast<std::size_t>(options.sample_faults));
+  }
+  FaultSimulator fsim(nl, sim);
+  CoverageResult result;
+  result.num_faults = static_cast<std::int32_t>(faults.size());
+  for (const Fault& f : faults) result.num_detected += fsim.detects(f) ? 1 : 0;
+  return result;
+}
+
 TEST(CollapseDifferentialTest, CoverageIsByteIdentical) {
   const testing::SmallDesign d(7);
 
-  CoverageOptions full;
-  CoverageOptions collapsed;
-  collapsed.collapse_faults = true;
-  const CoverageResult a = measure_coverage(d.netlist, d.sim, full);
-  const CoverageResult b = measure_coverage(d.netlist, d.sim, collapsed);
+  CoverageOptions options;
+  const CoverageResult a = per_fault_coverage(d.netlist, d.sim, options);
+  const CoverageResult b = measure_coverage(d.netlist, d.sim, options);
   EXPECT_EQ(a.num_faults, b.num_faults);
   EXPECT_EQ(a.num_detected, b.num_detected);
+  EXPECT_GT(a.num_detected, 0);
+  EXPECT_LT(a.num_detected, a.num_faults);
 
   // Sampling composes with collapsing: the sampled universe is drawn first,
-  // so both runs grade the same fault subset.
-  full.sample_faults = collapsed.sample_faults = 400;
-  const CoverageResult sa = measure_coverage(d.netlist, d.sim, full);
-  const CoverageResult sb = measure_coverage(d.netlist, d.sim, collapsed);
+  // so both gradings see the same fault subset.
+  options.sample_faults = 400;
+  const CoverageResult sa = per_fault_coverage(d.netlist, d.sim, options);
+  const CoverageResult sb = measure_coverage(d.netlist, d.sim, options);
   EXPECT_EQ(sa.num_faults, sb.num_faults);
   EXPECT_EQ(sa.num_detected, sb.num_detected);
 }

@@ -16,6 +16,7 @@
 
 #include "core/checkpoint.h"
 #include "core/framework.h"
+#include "scratch_dir.h"
 #include "util/artifact.h"
 #include "util/atomic_file.h"
 #include "util/fault_injector.h"
@@ -73,8 +74,7 @@ std::string framework_bytes(const DiagnosisFramework& framework) {
 }
 
 std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
+  const fs::path dir = testing::scratch_dir(name);
   fs::create_directories(dir);
   return dir.string();
 }
