@@ -1,7 +1,7 @@
 // Microkernels for the performance-critical primitives: bit-parallel
 // good-machine simulation, event-driven fault simulation, back-tracing,
-// subgraph extraction, GCN inference, ATPG diagnosis, and heterogeneous
-// graph construction.
+// subgraph extraction, GCN inference, ATPG diagnosis (bypass and compacted
+// logs), and heterogeneous graph construction.
 //
 // Hand-rolled timing loop (steady_clock, repeats, best-of like the other
 // benches) emitting the machine-readable BENCH_micro_kernels.json trace;
@@ -28,6 +28,8 @@ using BenchClock = std::chrono::steady_clock;
 struct BenchState {
   std::unique_ptr<Design> design;
   LabeledDataset data;
+  // The same faults' logs through the XOR compactor.
+  std::vector<Sample> compacted;
   std::unique_ptr<DiagnosisFramework> framework;
 
   explicit BenchState(bool smoke) {
@@ -36,6 +38,8 @@ struct BenchState {
     gen.num_samples = smoke ? 6 : 16;
     gen.seed = 9090;
     data = build_dataset(*design, gen);
+    gen.compacted = true;
+    compacted = generate_samples(design->context(), gen);
     FrameworkOptions options;
     options.training.epochs = smoke ? 8 : 30;  // weights don't matter here
     framework = std::make_unique<DiagnosisFramework>(options);
@@ -63,9 +67,13 @@ void run(bool smoke) {
   std::vector<std::uint64_t> one_word(
       static_cast<std::size_t>(s.design->good_sim().num_words()));
   std::size_t log_i = 0;
+  std::size_t compacted_i = 0;
   std::size_t graph_i = 0;
   const auto next_log = [&]() -> const FailureLog& {
     return s.data.samples[log_i++ % s.data.size()].log;
+  };
+  const auto next_compacted_log = [&]() -> const FailureLog& {
+    return s.compacted[compacted_i++ % s.compacted.size()].log;
   };
 
   const std::vector<Kernel> kernels = {
@@ -89,16 +97,16 @@ void run(bool smoke) {
          fsim.simulate(Fault::slow_to_rise(pin), one_word);
        }},
       {"backtrace", 1,
-       [&] {
-         backtrace_with_support(s.design->graph(), s.design->context(),
-                                next_log());
-       }},
+       [&] { backtrace_with_support(s.design->graph(), ctx, next_log()); }},
       {"subgraph_extraction", 1,
        [&] { subgraph_for_log(*s.design, next_log()); }},
       {"gnn_inference", 1,
        [&] { s.framework->predict(s.data.graphs[graph_i++ % s.data.size()]); }},
-      {"atpg_diagnosis", 1,
-       [&] { diagnose_atpg(s.design->context(), next_log()); }},
+      {"atpg_diagnosis", 1, [&] { diagnose_atpg(ctx, next_log()); }},
+      // Every candidate's prediction passes through XOR parity before it is
+      // matched against the log.
+      {"atpg_diagnosis_compacted", 1,
+       [&] { diagnose_atpg(ctx, next_compacted_log()); }},
       {"hetero_graph_construction", 1,
        [&] {
          HeteroGraph graph(s.design->netlist(), s.design->tiers(),

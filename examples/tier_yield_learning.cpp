@@ -23,7 +23,6 @@ int main() {
   std::cout << "training the transferable framework on netcard/Syn-1...\n";
   const ProfileExperiment experiment(Profile::kNetcard, opt);
   const Design& design = experiment.syn1();
-  const DesignContext ctx = design.context();
 
   // Simulate one production lot: 70% of failing dies carry top-tier defects
   // (the systematic process problem), 30% are background bottom-tier fails.

@@ -12,38 +12,6 @@
 namespace m3dfl {
 namespace {
 
-// Failure-log entries encoded as sortable 64-bit keys (bit granularity).
-std::vector<std::uint64_t> bit_signature(const FailureLog& log) {
-  std::vector<std::uint64_t> sig;
-  sig.reserve(static_cast<std::size_t>(log.num_failing_bits()));
-  for (const Observation& o : log.scan_fails) {
-    sig.push_back((0ULL << 62) | (static_cast<std::uint64_t>(o.pattern) << 24) |
-                  static_cast<std::uint64_t>(o.index));
-  }
-  for (const ChannelFail& c : log.channel_fails) {
-    sig.push_back((2ULL << 62) | (static_cast<std::uint64_t>(c.pattern) << 32) |
-                  (static_cast<std::uint64_t>(c.channel) << 16) |
-                  static_cast<std::uint64_t>(c.position));
-  }
-  for (const Observation& o : log.po_fails) {
-    sig.push_back((1ULL << 62) | (static_cast<std::uint64_t>(o.pattern) << 24) |
-                  static_cast<std::uint64_t>(o.index));
-  }
-  std::sort(sig.begin(), sig.end());
-  return sig;
-}
-
-// Distinct failing patterns of a log, sorted (the scoring granularity).
-std::vector<std::int32_t> pattern_signature(const FailureLog& log) {
-  std::vector<std::int32_t> sig;
-  for (const Observation& o : log.scan_fails) sig.push_back(o.pattern);
-  for (const ChannelFail& c : log.channel_fails) sig.push_back(c.pattern);
-  for (const Observation& o : log.po_fails) sig.push_back(o.pattern);
-  std::sort(sig.begin(), sig.end());
-  sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-  return sig;
-}
-
 // |a ∩ b| for sorted vectors.
 template <typename T>
 std::int32_t sorted_overlap(const std::vector<T>& a, const std::vector<T>& b) {
@@ -74,16 +42,12 @@ bool skip_to(const std::vector<T>& v, std::size_t& i, const T& x) {
 }
 
 // Compares candidates' predictions with one tester log.  A prediction is a
-// candidate's raw simulation observations, turned into the failure log the
-// tester would have recorded: compacted like the log, and truncated to the
-// log's fail memory, so the comparison stays apples-to-apples.
-//
-// Compacted logs take that route literally (make_failure_log, then
-// truncate_failure_log), because XOR parity needs the whole pattern.  For
-// bypass logs the predicted log is the raw list itself, cut at the
-// candidate's pattern_limit-th distinct failing pattern, so one merge walk
-// of the sorted raw list against the log's sorted fails does the whole
-// comparison.
+// candidate's raw simulation observations, seen as the tester would have
+// logged them: compacted like the log, and cut at the log's fail memory
+// (TesterLogWalker), so the comparison stays apples-to-apples.  The log's
+// failing patterns and bits are sorted once; each prediction is then one
+// merge walk against them, in both modes.  The walker's scratch makes the
+// matcher one per diagnose_atpg call.
 class LogMatcher {
  public:
   struct Match {
@@ -93,25 +57,20 @@ class LogMatcher {
   };
 
   LogMatcher(const DesignContext& design, const FailureLog& log)
-      : scan_(design.scan),
-        compactor_(log.compacted ? design.compactor : nullptr),
-        pattern_limit_(log.pattern_limit),
-        observed_(pattern_signature(log)),
+      : walker_(*design.scan, log.compacted ? design.compactor : nullptr,
+                log.pattern_limit),
+        observed_(log.failing_patterns()),
         num_bits_(log.num_failing_bits()) {
-    if (compactor_ != nullptr) {
-      observed_keys_ = bit_signature(log);
-      return;
+    observed_bits_.reserve(static_cast<std::size_t>(num_bits_));
+    for (const Observation& o : log.scan_fails) {
+      observed_bits_.push_back({o.pattern, TesterBit::kScanCell, o.index, 0});
     }
-    // As Observations in simulation order; which list an entry comes from
-    // decides its kind, as in bit_signature.
-    observed_bits_.reserve(log.scan_fails.size() + log.po_fails.size());
-    for (Observation o : log.scan_fails) {
-      o.at_po = false;
-      observed_bits_.push_back(o);
+    for (const ChannelFail& c : log.channel_fails) {
+      observed_bits_.push_back(
+          {c.pattern, TesterBit::kChannel, c.channel, c.position});
     }
-    for (Observation o : log.po_fails) {
-      o.at_po = true;
-      observed_bits_.push_back(o);
+    for (const Observation& o : log.po_fails) {
+      observed_bits_.push_back({o.pattern, TesterBit::kPo, o.index, 0});
     }
     std::sort(observed_bits_.begin(), observed_bits_.end());
   }
@@ -120,72 +79,47 @@ class LogMatcher {
   const std::vector<std::int32_t>& observed() const { return observed_; }
   std::int32_t num_bits() const { return num_bits_; }
 
-  Match match(const std::vector<Observation>& raw) const {
+  Match match(std::span<const Observation> raw) {
     Match m;
-    if (compactor_ != nullptr) {
-      const FailureLog predicted = predict(raw);
-      const std::vector<std::int32_t> patterns = pattern_signature(predicted);
-      m.patterns = static_cast<std::int32_t>(patterns.size());
-      m.tfsf = sorted_overlap(observed_, patterns);
-      m.bits = sorted_overlap(observed_keys_, bit_signature(predicted));
-      return m;
-    }
     std::size_t i = 0;
     std::size_t j = 0;
-    walk_bypass(
-        raw,
-        [&](std::int32_t p) {
-          ++m.patterns;
-          m.tfsf += skip_to(observed_, i, p) ? 1 : 0;
-        },
-        [&](const Observation& o) {
-          m.bits += skip_to(observed_bits_, j, o) ? 1 : 0;
-        });
+    walker_.walk(raw, [&](std::int32_t p, std::span<const TesterBit> bits) {
+      ++m.patterns;
+      m.tfsf += skip_to(observed_, i, p) ? 1 : 0;
+      for (const TesterBit& b : bits) {
+        m.bits += skip_to(observed_bits_, j, b) ? 1 : 0;
+      }
+    });
     return m;
   }
 
   // The prediction's distinct failing patterns, sorted.
   std::vector<std::int32_t> predicted_patterns(
-      const std::vector<Observation>& raw) const {
-    if (compactor_ != nullptr) return pattern_signature(predict(raw));
+      std::span<const Observation> raw) {
     std::vector<std::int32_t> patterns;
-    walk_bypass(
-        raw, [&](std::int32_t p) { patterns.push_back(p); },
-        [](const Observation&) {});
+    walker_.walk(raw, [&](std::int32_t p, std::span<const TesterBit>) {
+      patterns.push_back(p);
+    });
     return patterns;
   }
 
  private:
-  FailureLog predict(const std::vector<Observation>& raw) const {
-    return truncate_failure_log(make_failure_log(raw, *scan_, compactor_),
-                                pattern_limit_);
-  }
-
-  // Visits the bypass prediction of sorted `raw`: on_pattern once per
-  // distinct failing pattern, then on_bit for each of its observations,
-  // stopping where truncate_failure_log cuts.
-  template <typename OnPattern, typename OnBit>
-  void walk_bypass(const std::vector<Observation>& raw, OnPattern on_pattern,
-                   OnBit on_bit) const {
-    std::int32_t patterns = 0;
-    for (std::size_t k = 0; k < raw.size(); ++k) {
-      if (k == 0 || raw[k].pattern != raw[k - 1].pattern) {
-        if (pattern_limit_ > 0 && patterns == pattern_limit_) return;
-        ++patterns;
-        on_pattern(raw[k].pattern);
-      }
-      on_bit(raw[k]);
-    }
-  }
-
-  const ScanChains* scan_;
-  const XorCompactor* compactor_;  // null for bypass logs
-  std::int32_t pattern_limit_;
+  TesterLogWalker walker_;
   std::vector<std::int32_t> observed_;
   std::int32_t num_bits_;
-  std::vector<Observation> observed_bits_;   // bypass logs
-  std::vector<std::uint64_t> observed_keys_;  // compacted logs
+  std::vector<TesterBit> observed_bits_;
 };
+
+// The report order: score descending; within a tie the candidates are
+// behaviour-equivalent as far as the tester evidence goes, so the order
+// falls back to a structural enumeration (MIVs, then pins in order, then
+// fault type).
+bool ranks_before(const Candidate& a, const Candidate& b) {
+  if (a.score != b.score) return a.score > b.score;
+  if (a.fault.is_miv() != b.fault.is_miv()) return a.fault.is_miv();
+  if (a.fault.pin != b.fault.pin) return a.fault.pin < b.fault.pin;
+  return a.fault.type < b.fault.type;
+}
 
 // Suspect-net extraction.  For each response, the suspect set is the set of
 // nets in its observation points' cones (the graph's net cones; the union
@@ -264,7 +198,7 @@ std::vector<Fault> enumerate_candidates(const DesignContext& design,
 // other faults), the best explanation's patterns are subtracted, and the
 // loop continues until every response is accounted for.
 DiagnosisReport diagnose_cover(const DesignContext& design,
-                               const LogMatcher& matcher,
+                               LogMatcher& matcher,
                                const DiagnosisOptions& options,
                                const std::vector<FailingResponse>& responses,
                                FaultSimulator& fsim) {
@@ -332,17 +266,7 @@ DiagnosisReport diagnose_cover(const DesignContext& design,
     if (!scored.empty()) {
       std::sort(scored.begin(), scored.end(),
                 [](const Scored& a, const Scored& b) {
-                  if (a.candidate.score != b.candidate.score) {
-                    return a.candidate.score > b.candidate.score;
-                  }
-                  if (a.candidate.fault.is_miv() !=
-                      b.candidate.fault.is_miv()) {
-                    return a.candidate.fault.is_miv();
-                  }
-                  if (a.candidate.fault.pin != b.candidate.fault.pin) {
-                    return a.candidate.fault.pin < b.candidate.fault.pin;
-                  }
-                  return a.candidate.fault.type < b.candidate.fault.type;
+                  return ranks_before(a.candidate, b.candidate);
                 });
       // Keep the cluster's plausible explanations: all anchor-consistent
       // candidates within a generous score band (the true fault explains
@@ -400,7 +324,7 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
                     options.w_bit_tfsp >= 0.0,
                 "diagnosis mismatch weights must be non-negative");
   const Netlist& nl = *design.netlist;
-  const LogMatcher matcher(design, log);
+  LogMatcher matcher(design, log);
   FaultSimulator fsim(nl, *design.good, design.mivs);
 
   // ---- Effect-cause: suspect nets -----------------------------------------
@@ -486,20 +410,14 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
     return diagnose_cover(design, matcher, options, responses, fsim);
   }
 
-  // Rank by pattern-level score; within a tie the candidates are behaviour-
-  // equivalent as far as the tester evidence goes, so the order falls back
-  // to a structural enumeration (stem first, then branches) — the ground
-  // truth lands somewhere inside its equivalence class, which is what gives
-  // diagnosis reports a non-trivial first-hit index.
+  // Rank by pattern-level score (ranks_before).  Ties fall back to the
+  // structural order, so the ground truth lands somewhere inside its
+  // equivalence class, which is what gives diagnosis reports a non-trivial
+  // first-hit index.
   std::vector<std::size_t> order(scored.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    const Candidate& a = scored[x];
-    const Candidate& b = scored[y];
-    if (a.score != b.score) return a.score > b.score;
-    if (a.fault.is_miv() != b.fault.is_miv()) return a.fault.is_miv();
-    if (a.fault.pin != b.fault.pin) return a.fault.pin < b.fault.pin;
-    return a.fault.type < b.fault.type;
+    return ranks_before(scored[x], scored[y]);
   });
   std::vector<Candidate> ranked;
   ranked.reserve(scored.size());

@@ -15,13 +15,13 @@
 //  2. Cause-effect: enumerate candidate TDFs (stem + branch pins, both
 //     transition directions) and MIV delay faults on the suspect nets,
 //     fault-simulate each candidate, and score it by how well its predicted
-//     failure log matches the observed one (TFSF/TFSP/TPSF counts).  For a
-//     bypass log the predicted log is the candidate's sorted observation
-//     list cut at the log's fail memory, so one merge walk against the
-//     log's fails (sorted once per log) yields every count; a compacted log
-//     builds the predicted log (make_failure_log, truncate_failure_log),
-//     because XOR parity needs every aliased cell of a pattern.  Each
-//     candidate is simulated only on the pattern lanes the score reads
+//     failure log matches the observed one (TFSF/TFSP/TPSF counts).  The
+//     predicted log is the candidate's sorted observation list seen through
+//     the tester model (TesterLogWalker, diag/failure_log.h): XOR parity per
+//     pattern for a compacted log, then the log's fail-memory cut.  One
+//     merge walk of it against the log's fails (sorted once per log) yields
+//     every count, in both modes; no FailureLog is built per candidate.
+//     Each candidate is simulated only on the pattern lanes the score reads
 //     (FaultSimulator::simulate with lane masks): the observed failing
 //     patterns, or every pattern up to the last of them when the log is
 //     fail-memory truncated (predicted fails there move the truncation

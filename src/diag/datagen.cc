@@ -111,8 +111,7 @@ std::vector<Sample> generate_samples(const DesignContext& design,
       const std::int32_t fail_memory = options.max_failing_patterns < 0
                                            ? design.fail_memory_patterns
                                            : options.max_failing_patterns;
-      sample.log = truncate_failure_log(
-          make_failure_log(raw, *design.scan, compactor), fail_memory);
+      sample.log = make_failure_log(raw, *design.scan, compactor, fail_memory);
       ok = !sample.log.empty();
     }
     M3DFL_REQUIRE(ok, "failed to generate a detectable fault sample");

@@ -68,7 +68,7 @@ struct DataGenOptions {
   // Compact the scan responses (uses the context's compactor).
   bool compacted = false;
   // Tester fail-memory depth in failing patterns; 0 = unlimited, -1 = use
-  // the design context's configured depth.  See truncate_failure_log().
+  // the design context's configured depth.  See make_failure_log().
   std::int32_t max_failing_patterns = -1;
   // Resampling budget per sample before giving up (undetectable faults).
   std::int32_t max_attempts = 64;

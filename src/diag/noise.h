@@ -13,8 +13,8 @@
 //                observation point;
 //  * truncate  — the fail store has a fixed per-pattern depth, so every
 //                pattern's failing-bit list is clipped at the same cap
-//                (distinct from truncate_failure_log(), which models the
-//                stop-on-Nth-failing-*pattern* limit).
+//                (distinct from make_failure_log()'s pattern_limit, which
+//                models the stop-on-Nth-failing-*pattern* limit).
 //
 // LogNoiseModel applies one of these modes to a FailureLog with a seeded
 // util::FaultInjector seam per mode, so a perturbation is a pure function of

@@ -558,8 +558,7 @@ StatusCode DiagnosisService::attempt_once(Request& request,
             fresh->subgraph =
                 extract_subgraph(design.graph(), fresh->backtrace.candidates);
             fresh->adjacency = subgraph_adjacency(fresh->subgraph);
-            result.backtrace_seconds = seconds_since(t_bt);
-            metrics_->backtrace.record(result.backtrace_seconds);
+            metrics_->backtrace.record(seconds_since(t_bt));
           }
 
           if (deadline_passed(request.deadline)) {
@@ -568,8 +567,7 @@ StatusCode DiagnosisService::attempt_once(Request& request,
           const Clock::time_point t_atpg = Clock::now();
           fresh->base_report =
               diagnose_atpg(ctx, request.log, options_.diagnosis);
-          result.atpg_seconds = seconds_since(t_atpg);
-          metrics_->atpg.record(result.atpg_seconds);
+          metrics_->atpg.record(seconds_since(t_atpg));
 
           if (injector != nullptr) {
             maybe_throw(*injector, Seam::kCacheInsert,
@@ -643,8 +641,7 @@ StatusCode DiagnosisService::attempt_once(Request& request,
                                         result.report, &result.prediction);
     result.confidence =
         framework_->diagnosis_confidence(entry->backtrace, &result.prediction);
-    result.inference_seconds = seconds_since(t_inf);
-    metrics_->inference.record(result.inference_seconds);
+    metrics_->inference.record(seconds_since(t_inf));
     return StatusCode::kOk;
   } catch (const ModelUnavailableError& e) {
     if (options_.degraded_fallback && entry != nullptr) {

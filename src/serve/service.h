@@ -155,9 +155,6 @@ struct DiagnosisResult {
   bool ok() const { return status == StatusCode::kOk; }
   // Per-request stage timings (seconds); informational, not deterministic.
   double queue_seconds = 0.0;
-  double backtrace_seconds = 0.0;
-  double atpg_seconds = 0.0;
-  double inference_seconds = 0.0;
   double total_seconds = 0.0;
 };
 

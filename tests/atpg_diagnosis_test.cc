@@ -9,6 +9,7 @@
 #include "core/pipeline.h"
 #include "diag/atpg_diagnosis.h"
 #include "diag/metrics.h"
+#include "reference_failure_log.h"
 #include "sim/fault_sim.h"
 #include "test_helpers.h"
 
@@ -184,7 +185,8 @@ TEST(DiagnosisTest, Deterministic) {
 // The engine scores candidates on the pattern lanes the score reads and
 // fills tpsf only for the reported ones.  Every reported number must equal
 // what the full observation list of the cone-scheduled oracle gives through
-// make_failure_log and truncate_failure_log.
+// the map-and-set tester model (reference_failure_log.h), independently of
+// the library's TesterLogWalker.
 
 using BitKey = std::tuple<int, std::int32_t, std::int32_t, std::int32_t>;
 
@@ -235,10 +237,10 @@ void expect_report_matches_oracle(const DesignContext& ctx,
     const DiagnosisReport report = diagnose_atpg(ctx, s.log, options);
     for (const Candidate& c : report.candidates) {
       const std::vector<Observation> raw = oracle.simulate(c.fault);
-      const FailureLog full = make_failure_log(
+      const FailureLog full = testing::reference_make_failure_log(
           raw, *ctx.scan, s.log.compacted ? ctx.compactor : nullptr);
       const FailureLog predicted =
-          truncate_failure_log(full, s.log.pattern_limit);
+          testing::reference_truncate_failure_log(full, s.log.pattern_limit);
       const std::set<std::int32_t> patterns = failing_patterns(predicted);
       const std::int32_t tfsf = overlap(observed, patterns);
       const std::int32_t tfsp = static_cast<std::int32_t>(observed.size()) -
@@ -328,8 +330,8 @@ TEST(DiagnosisOracleTest, TpsfWeightScoresOnAllLanes) {
   EXPECT_GT(tally.candidates, 0);
 }
 
-// Compacted and fail-memory truncated, scored on every lane: the route that
-// keeps make_failure_log for XOR parity, with tpsf in the score.  Every
+// Compacted and fail-memory truncated, scored on every lane: XOR parity and
+// the fail-memory cut together, with tpsf in the score.  Every
 // positive-score candidate is reported, so mispredicting ones are checked
 // too.
 TEST(DiagnosisOracleTest, NetcardCompactedTruncatedTpsfWeight) {

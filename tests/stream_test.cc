@@ -166,7 +166,9 @@ TEST(StreamBacktraceTest, CleanFeedNarrowsMonotonically) {
       if (snap.backtrace.noisy()) break;  // strict fast path left
       ASSERT_FALSE(snap.backtrace.candidates.empty());
       for (double s : snap.backtrace.support) EXPECT_DOUBLE_EQ(s, 1.0);
-      if (!first) EXPECT_LE(snap.backtrace.candidates.size(), last);
+      if (!first) {
+        EXPECT_LE(snap.backtrace.candidates.size(), last);
+      }
       last = snap.backtrace.candidates.size();
       first = false;
     }
