@@ -27,7 +27,9 @@ ClassifierEval evaluate(const PruneClassifier& model,
   std::int32_t minority_total = 0;
   std::int32_t minority_hit = 0;
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const bool prune = model.predict_prune_prob(graphs[i]) >= 0.5;
+    const Subgraph& g = graphs[i];
+    const bool prune =
+        model.predict_prune_prob(g, subgraph_adjacency(g)) >= 0.5;
     const bool truth = labels[i] == 1;
     if (prune == truth) ++correct;
     if (!truth) {
@@ -63,7 +65,7 @@ int main() {
   for (const Subgraph& g : data.graphs) {
     if (g.empty() || (g.tier_label != 0 && g.tier_label != 1)) continue;
     double confidence = 0.0;
-    const int tier = tp.predicted_tier(g, &confidence);
+    const int tier = tp.predicted_tier(g, subgraph_adjacency(g), &confidence);
     if (confidence < tp_threshold) continue;
     graphs.push_back(g);
     labels.push_back(tier == g.tier_label ? 1 : 0);

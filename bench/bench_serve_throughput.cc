@@ -43,9 +43,9 @@ double run_serial_baseline(const Design& design,
   const DesignContext ctx = design.context();
   const Clock::time_point t0 = Clock::now();
   for (const FailureLog& log : requests) {
-    DiagnosisReport report = diagnose_atpg(ctx, log);
-    const Subgraph sg = subgraph_for_log(design, log);
-    framework.diagnose(ctx, sg, report);
+    DiagnosisPrefix prefix = backtrace_prefix(design, log);
+    prefix.base_report = diagnose_atpg(ctx, log);
+    framework.diagnose(ctx, prefix);
   }
   return seconds_since(t0);
 }

@@ -44,8 +44,9 @@ int main() {
     const Sample& die = wafer.samples[i];
     const MivId truth = die.faulty_mivs[0];
 
+    const Subgraph& g = wafer.graphs[i];
     const FrameworkPrediction p =
-        experiment.framework().predict(wafer.graphs[i]);
+        experiment.framework().predict(g, subgraph_adjacency(g));
     flagged_count.add(static_cast<double>(p.faulty_mivs.size()));
     bool hit = false;
     for (MivId m : p.faulty_mivs) hit = hit || m == truth;

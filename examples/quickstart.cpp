@@ -54,12 +54,17 @@ int main() {
             << sample.log.num_failing_bits() << " failing bits over "
             << sample.log.num_failing_patterns() << " patterns\n\n";
 
+  // The chain's prefix (back-trace -> subgraph -> adjacency, then ATPG
+  // diagnosis) and its GNN suffix (predict -> prune/reorder -> confidence).
   const DesignContext ctx = design->context();
-  DiagnosisReport report = diagnose_atpg(ctx, sample.log);
-  std::cout << "ATPG " << report_to_string(design->netlist(), report, 8);
+  DiagnosisPrefix prefix = backtrace_prefix(*design, sample.log);
+  prefix.base_report = diagnose_atpg(ctx, sample.log);
+  std::cout << "ATPG "
+            << report_to_string(design->netlist(), prefix.base_report, 8);
 
-  FrameworkPrediction prediction;
-  framework.diagnose(ctx, test.graphs[0], report, &prediction);
+  const RefinedDiagnosis diagnosis = framework.diagnose(ctx, prefix);
+  const FrameworkPrediction& prediction = diagnosis.prediction;
+  const DiagnosisReport& report = diagnosis.report;
   std::cout << "\nGNN prediction: tier " << prediction.tier
             << " (confidence " << prediction.confidence << ", "
             << (prediction.high_confidence ? "high" : "low")

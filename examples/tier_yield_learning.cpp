@@ -55,8 +55,9 @@ int main() {
   std::int32_t correct = 0;
   std::int32_t high_confidence = 0;
   for (std::size_t i = 0; i < lot.size(); ++i) {
+    const Subgraph& g = lot.graphs[i];
     const FrameworkPrediction p =
-        experiment.framework().predict(lot.graphs[i]);
+        experiment.framework().predict(g, subgraph_adjacency(g));
     ++votes[p.tier];
     if (lot.samples[i].fault_tier >= 0) {
       ++truth[lot.samples[i].fault_tier];

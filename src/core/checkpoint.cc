@@ -456,20 +456,26 @@ void Trainer::run_miv_phase(std::span<const Subgraph> graphs) {
 }
 
 void Trainer::run_classifier_phase(std::span<const Subgraph> graphs) {
+  // One frozen-tier-predictor verdict per tier-labeled graph, shared by the
+  // PR curve and the Predicted-Positive selection below.
+  std::vector<const Subgraph*> labeled;
+  std::vector<PrSample> verdicts;
+  for (const Subgraph& g : graphs) {
+    if (g.empty() || (g.tier_label != 0 && g.tier_label != 1)) continue;
+    double confidence = 0.0;
+    const int tier = fw_.tier_predictor_->predicted_tier(
+        g, subgraph_adjacency(g), &confidence);
+    labeled.push_back(&g);
+    verdicts.push_back(PrSample{confidence, tier == g.tier_label});
+  }
+
   if (!mid_phase_) {
     // PR curve over the training set -> T_P (paper Sec. V-B).  On a
     // mid-phase resume T_P comes from the checkpoint instead; recomputing
     // would give the same value (the tier predictor is frozen by now) but
     // the restored one is authoritative.
-    std::vector<PrSample> pr_samples;
-    for (const Subgraph& g : graphs) {
-      if (g.empty() || (g.tier_label != 0 && g.tier_label != 1)) continue;
-      double confidence = 0.0;
-      const int tier = fw_.tier_predictor_->predicted_tier(g, &confidence);
-      pr_samples.push_back(PrSample{confidence, tier == g.tier_label});
-    }
     fw_.tp_threshold_ =
-        select_threshold(pr_curve(pr_samples), fw_.options_.pr_min_precision);
+        select_threshold(pr_curve(verdicts), fw_.options_.pr_min_precision);
   }
 
   // Classifier training set: Predicted Positive samples, labeled by whether
@@ -479,13 +485,10 @@ void Trainer::run_classifier_phase(std::span<const Subgraph> graphs) {
   // checkpointed.
   std::vector<Subgraph> cls_graphs;
   std::vector<int> cls_labels;
-  for (const Subgraph& g : graphs) {
-    if (g.empty() || (g.tier_label != 0 && g.tier_label != 1)) continue;
-    double confidence = 0.0;
-    const int tier = fw_.tier_predictor_->predicted_tier(g, &confidence);
-    if (confidence < fw_.tp_threshold_) continue;
-    cls_graphs.push_back(g);
-    cls_labels.push_back(tier == g.tier_label ? 1 : 0);
+  for (std::size_t i = 0; i < labeled.size(); ++i) {
+    if (verdicts[i].confidence < fw_.tp_threshold_) continue;
+    cls_graphs.push_back(*labeled[i]);
+    cls_labels.push_back(verdicts[i].correct ? 1 : 0);
   }
   if (!cls_graphs.empty()) {
     Rng rng(fw_.options_.training.seed ^ 0xB0FFE2);

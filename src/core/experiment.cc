@@ -73,8 +73,9 @@ ConfigResult ProfileExperiment::evaluate_on(const Design& design,
     // The GNN branch runs in parallel with ATPG diagnosis on a deployment
     // tester; here we time it separately (Fig. 9).
     t0 = std::chrono::steady_clock::now();
-    const Subgraph sg = subgraph_for_log(design, sample.log);
-    const FrameworkPrediction prediction = framework_.predict(sg);
+    const DiagnosisPrefix prefix = backtrace_prefix(design, sample.log);
+    const FrameworkPrediction prediction =
+        framework_.predict(prefix.subgraph, prefix.adjacency);
     result.t_gnn += seconds_since(t0);
 
     // Tier-localization eligibility: reports the ATPG run did not already
@@ -200,9 +201,11 @@ MultiFaultResult evaluate_multifault(Profile profile,
         diagnose_atpg(ctx, sample.log, options.diagnosis);
     result.atpg.add(evaluate_report(ctx, report, sample));
 
+    const Subgraph& g = test.graphs[i];
+    const FrameworkPrediction prediction =
+        framework.predict(g, subgraph_adjacency(g));
     DiagnosisReport refined = report;
-    FrameworkPrediction prediction;
-    framework.diagnose(ctx, test.graphs[i], refined, &prediction);
+    framework.refine_report(ctx, prediction, refined);
     result.refined.add(evaluate_report(ctx, refined, sample));
     if (prediction.tier == sample.fault_tier) ++tier_correct;
   }
@@ -232,7 +235,8 @@ AblationResult evaluate_individual_models(Profile profile,
         diagnose_atpg(ctx, sample.log, options.diagnosis);
     result.atpg.add(evaluate_report(ctx, report, sample));
 
-    const FrameworkPrediction prediction = fw.predict(test.graphs[i]);
+    const Subgraph& g = test.graphs[i];
+    const FrameworkPrediction prediction = fw.predict(g, subgraph_adjacency(g));
 
     // Tier-predictor standalone: ignore the MIV-pinpointer output.
     {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/checkpoint.h"
+#include "core/pipeline.h"
 #include "dft/test_points.h"
 #include "gnn/serialize.h"
 #include "util/artifact.h"
@@ -88,10 +89,6 @@ DiagnosisFramework::DiagnosisFramework(const FrameworkOptions& options)
 void DiagnosisFramework::train(std::span<const Subgraph> graphs) {
   Trainer trainer(*this);
   trainer.train(graphs);
-}
-
-FrameworkPrediction DiagnosisFramework::predict(const Subgraph& sg) const {
-  return predict(sg, subgraph_adjacency(sg));
 }
 
 FrameworkPrediction DiagnosisFramework::predict(
@@ -214,22 +211,15 @@ void DiagnosisFramework::load(std::istream& is, const std::string& source) {
   trained_ = true;
 }
 
-std::vector<Candidate> DiagnosisFramework::diagnose(
-    const DesignContext& design, const Subgraph& subgraph,
-    DiagnosisReport& report, FrameworkPrediction* prediction_out) const {
-  return diagnose(design, subgraph, subgraph_adjacency(subgraph), report,
-                  prediction_out);
-}
-
-std::vector<Candidate> DiagnosisFramework::diagnose(
-    const DesignContext& design, const Subgraph& subgraph,
-    const NormalizedAdjacency& adjacency, DiagnosisReport& report,
-    FrameworkPrediction* prediction_out) const {
-  FrameworkPrediction prediction = predict(subgraph, adjacency);
-  std::vector<Candidate> pruned = refine_report(design, prediction, report);
-  prediction.pruned = !pruned.empty();
-  if (prediction_out != nullptr) *prediction_out = prediction;
-  return pruned;
+RefinedDiagnosis DiagnosisFramework::diagnose(
+    const DesignContext& design, const DiagnosisPrefix& prefix) const {
+  RefinedDiagnosis d;
+  d.prediction = predict(prefix.subgraph, prefix.adjacency);
+  d.report = prefix.base_report;
+  d.pruned = refine_report(design, d.prediction, d.report);
+  d.prediction.pruned = !d.pruned.empty();
+  d.confidence = diagnosis_confidence(prefix.backtrace, &d.prediction);
+  return d;
 }
 
 // ---- Format-1 migration -------------------------------------------------------

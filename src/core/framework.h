@@ -101,6 +101,16 @@ struct FrameworkPrediction {
   bool pruned = false;           // what the policy did
 };
 
+// What the GNN suffix makes of one log's diagnosis prefix.
+struct RefinedDiagnosis {
+  DiagnosisReport report;          // the pruned and reordered ATPG report
+  FrameworkPrediction prediction;  // `pruned` set by the policy
+  std::vector<Candidate> pruned;   // for the backup dictionary
+  DiagnosisConfidence confidence;  // calibrated end-to-end confidence
+};
+
+struct DiagnosisPrefix;  // core/pipeline.h
+
 struct FrameworkOptions {
   GcnModelConfig model;
   TrainOptions training;
@@ -125,10 +135,8 @@ class DiagnosisFramework {
   const TierPredictor& tier_predictor() const { return *tier_predictor_; }
   const MivPinpointer& miv_pinpointer() const { return *miv_pinpointer_; }
 
-  // GNN predictions for one back-traced subgraph.
-  FrameworkPrediction predict(const Subgraph& subgraph) const;
-  // Same, reusing a caller-provided normalized adjacency of `subgraph`
-  // (served inference caches adjacencies; results are identical).
+  // GNN predictions for one back-traced subgraph and its normalized
+  // adjacency (subgraph_adjacency).
   FrameworkPrediction predict(const Subgraph& subgraph,
                               const NormalizedAdjacency& adjacency) const;
 
@@ -150,18 +158,11 @@ class DiagnosisFramework {
                                        const FrameworkPrediction& prediction,
                                        DiagnosisReport& report) const;
 
-  // Convenience: predict + refine.
-  std::vector<Candidate> diagnose(const DesignContext& design,
-                                  const Subgraph& subgraph,
-                                  DiagnosisReport& report,
-                                  FrameworkPrediction* prediction_out =
-                                      nullptr) const;
-  std::vector<Candidate> diagnose(const DesignContext& design,
-                                  const Subgraph& subgraph,
-                                  const NormalizedAdjacency& adjacency,
-                                  DiagnosisReport& report,
-                                  FrameworkPrediction* prediction_out =
-                                      nullptr) const;
+  // The per-log chain's GNN suffix over its prefix (core/pipeline.h):
+  // predict, refine a copy of the prefix's ATPG base report, and calibrate
+  // the confidence on the prefix's back-trace evidence.
+  RefinedDiagnosis diagnose(const DesignContext& design,
+                            const DiagnosisPrefix& prefix) const;
 
   // Persists / restores the trained framework (all three models plus T_P);
   // the pretrained asset the paper reuses across netlists.  save() wraps the

@@ -10,11 +10,17 @@ void LabeledDataset::append(LabeledDataset&& other) {
                 std::make_move_iterator(other.graphs.end()));
 }
 
-Subgraph subgraph_for_log(const Design& design, const FailureLog& log) {
-  return extract_subgraph(
-      design.graph(),
-      backtrace_with_support(design.graph(), design.context(), log)
-          .candidates);
+DiagnosisPrefix backtrace_prefix(const Design& design, const FailureLog& log,
+                                 const BacktraceResult* streamed) {
+  DiagnosisPrefix prefix;
+  prefix.backtrace =
+      streamed != nullptr
+          ? *streamed
+          : backtrace_with_support(design.graph(), design.context(), log);
+  prefix.subgraph =
+      extract_subgraph(design.graph(), prefix.backtrace.candidates);
+  prefix.adjacency = subgraph_adjacency(prefix.subgraph);
+  return prefix;
 }
 
 LabeledDataset build_dataset(const Design& design,
@@ -23,7 +29,7 @@ LabeledDataset build_dataset(const Design& design,
   data.samples = generate_samples(design.context(), options);
   data.graphs.reserve(data.samples.size());
   for (const Sample& sample : data.samples) {
-    Subgraph sg = subgraph_for_log(design, sample.log);
+    Subgraph sg = backtrace_prefix(design, sample.log).subgraph;
     label_subgraph(sg, sample);
     data.graphs.push_back(std::move(sg));
   }

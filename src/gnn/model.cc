@@ -126,11 +126,6 @@ TierPredictor::TierPredictor(const GcnModelConfig& config)
                           /*use_relu=*/false, rng);
       }()) {}
 
-std::array<double, 2> TierPredictor::predict(const Subgraph& sg) const {
-  if (sg.empty()) return {0.5, 0.5};
-  return predict(sg, subgraph_adjacency(sg));
-}
-
 std::array<double, 2> TierPredictor::predict(
     const Subgraph& sg, const NormalizedAdjacency& adj) const {
   if (sg.empty()) return {0.5, 0.5};
@@ -142,19 +137,6 @@ std::array<double, 2> TierPredictor::predict(
   const Matrix probs = softmax_rows(logits);
   return {static_cast<double>(probs.at(0, 0)),
           static_cast<double>(probs.at(0, 1))};
-}
-
-int TierPredictor::predicted_tier(const Subgraph& sg, double* confidence,
-                                  double* margin) const {
-  const auto p = predict(sg);
-  const int tier = p[1] > p[0] ? 1 : 0;
-  if (confidence != nullptr) {
-    *confidence = std::max(p[0], p[1]);
-  }
-  if (margin != nullptr) {
-    *margin = std::abs(p[1] - p[0]);
-  }
-  return tier;
 }
 
 int TierPredictor::predicted_tier(const Subgraph& sg,
@@ -211,13 +193,6 @@ MivPinpointer::MivPinpointer(const GcnModelConfig& config)
                           rng);
       }()) {}
 
-std::vector<double> MivPinpointer::predict(const Subgraph& sg) const {
-  if (sg.empty() || sg.miv_local.empty()) {
-    return std::vector<double>(sg.miv_local.size(), 0.0);
-  }
-  return predict(sg, subgraph_adjacency(sg));
-}
-
 std::vector<double> MivPinpointer::predict(
     const Subgraph& sg, const NormalizedAdjacency& adj) const {
   std::vector<double> out(sg.miv_local.size(), 0.0);
@@ -230,16 +205,6 @@ std::vector<double> MivPinpointer::predict(
     out[i] = static_cast<double>(probs.at(sg.miv_local[i], 1));
   }
   return out;
-}
-
-std::vector<MivId> MivPinpointer::predict_faulty(const Subgraph& sg,
-                                                 double threshold) const {
-  const std::vector<double> probs = predict(sg);
-  std::vector<MivId> faulty;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    if (probs[i] >= threshold) faulty.push_back(sg.miv_ids[i]);
-  }
-  return faulty;
 }
 
 std::vector<MivId> MivPinpointer::predict_faulty(const Subgraph& sg,
@@ -315,11 +280,6 @@ PruneClassifier::PruneClassifier(const TierPredictor& pretrained,
       }()) {
   M3DFL_REQUIRE(pretrained.hidden_dim() == config.hidden,
                 "transfer requires matching hidden dimensions");
-}
-
-double PruneClassifier::predict_prune_prob(const Subgraph& sg) const {
-  if (sg.empty()) return 0.5;
-  return predict_prune_prob(sg, subgraph_adjacency(sg));
 }
 
 double PruneClassifier::predict_prune_prob(

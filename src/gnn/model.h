@@ -67,10 +67,9 @@ class TierPredictor {
  public:
   explicit TierPredictor(const GcnModelConfig& config = {});
 
-  // [P(bottom), P(top)]; uniform for empty subgraphs.
-  std::array<double, 2> predict(const Subgraph& sg) const;
-  // Same, reusing a caller-provided normalized adjacency of `sg` (the
-  // serving layer caches adjacencies across the three models).
+  // [P(bottom), P(top)]; uniform for empty subgraphs.  Every predict takes
+  // the normalized adjacency of `sg` (subgraph_adjacency), so callers that
+  // run several models on one subgraph build it once.
   std::array<double, 2> predict(const Subgraph& sg,
                                 const NormalizedAdjacency& adj) const;
   // Predicted tier and its probability (the paper's confidence score).
@@ -79,10 +78,9 @@ class TierPredictor {
   // certain verdict.  The margin feeds the calibrated diagnosis confidence
   // (diag/report.h): unlike the raw max-probability it is 0-based, so it can
   // be multiplied with the back-trace support fraction.
-  int predicted_tier(const Subgraph& sg, double* confidence = nullptr,
-                     double* margin = nullptr) const;
   int predicted_tier(const Subgraph& sg, const NormalizedAdjacency& adj,
-                     double* confidence, double* margin = nullptr) const;
+                     double* confidence = nullptr,
+                     double* margin = nullptr) const;
 
   // One forward/backward pass on a labeled subgraph (label: tier 0/1);
   // returns the cross-entropy loss.  Pass a prebuilt adjacency when looping
@@ -109,15 +107,12 @@ class MivPinpointer {
   explicit MivPinpointer(const GcnModelConfig& config = {});
 
   // P(defective) for each MIV node of the subgraph (sg.miv_local order).
-  std::vector<double> predict(const Subgraph& sg) const;
   std::vector<double> predict(const Subgraph& sg,
                               const NormalizedAdjacency& adj) const;
   // MIVs whose defect probability exceeds `threshold`.
   std::vector<MivId> predict_faulty(const Subgraph& sg,
-                                    double threshold = 0.5) const;
-  std::vector<MivId> predict_faulty(const Subgraph& sg,
                                     const NormalizedAdjacency& adj,
-                                    double threshold) const;
+                                    double threshold = 0.5) const;
 
   // One pass over a subgraph with MIV labels; returns the mean CE loss over
   // MIV nodes (0 when the subgraph has none; no gradients accumulate then).
@@ -141,7 +136,6 @@ class PruneClassifier {
                   const GcnModelConfig& config = {});
 
   // P(prune is safe), i.e. P(the tier prediction is a true positive).
-  double predict_prune_prob(const Subgraph& sg) const;
   double predict_prune_prob(const Subgraph& sg,
                             const NormalizedAdjacency& adj) const;
 

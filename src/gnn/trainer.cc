@@ -142,7 +142,9 @@ double tier_accuracy(const TierPredictor& model,
   for (const Subgraph& g : graphs) {
     if (g.empty() || (g.tier_label != 0 && g.tier_label != 1)) continue;
     ++total;
-    if (model.predicted_tier(g) == g.tier_label) ++correct;
+    if (model.predicted_tier(g, subgraph_adjacency(g)) == g.tier_label) {
+      ++correct;
+    }
   }
   return total == 0 ? 0.0
                     : static_cast<double>(correct) /
@@ -156,7 +158,7 @@ double miv_accuracy(const MivPinpointer& model,
   for (const Subgraph& g : graphs) {
     if (g.empty() || g.miv_local.empty()) continue;
     ++total;
-    const std::vector<double> probs = model.predict(g);
+    const std::vector<double> probs = model.predict(g, subgraph_adjacency(g));
     bool ok = true;
     for (std::size_t i = 0; i < probs.size(); ++i) {
       const bool predicted = probs[i] >= 0.5;

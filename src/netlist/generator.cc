@@ -149,7 +149,7 @@ Netlist generate_netlist(const GeneratorConfig& config) {
     }
     last_was_chain =
         type == GateType::kBuf || type == GateType::kInv;
-    const GateId g = nl.add_gate(type, "u" + std::to_string(i));
+    const GateId g = nl.add_gate(type, 'u' + std::to_string(i));
     for (NetId n : ins) {
       nl.connect_input(g, n);
       ++net_sinks[static_cast<std::size_t>(n)];

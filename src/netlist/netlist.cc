@@ -288,7 +288,7 @@ std::string Netlist::pin_name(PinId pin) const {
   const PinRef ref = pin_ref(pin);
   const Gate& g = gates_[check_gate(ref.gate)];
   const std::string base =
-      g.name.empty() ? "g" + std::to_string(ref.gate) : g.name;
+      g.name.empty() ? 'g' + std::to_string(ref.gate) : g.name;
   if (ref.is_output()) return base + ".Y";
   return base + ".A" + std::to_string(ref.input);
 }

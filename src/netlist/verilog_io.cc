@@ -23,7 +23,7 @@ void write_mnl(const Netlist& netlist, std::ostream& os) {
   for (GateId g = 0; g < netlist.num_gates(); ++g) {
     const Gate& gate = netlist.gate(g);
     os << "gate " << g << " " << gate_type_name(gate.type) << " "
-       << (gate.name.empty() ? "g" + std::to_string(g) : gate.name) << " out=";
+       << (gate.name.empty() ? 'g' + std::to_string(g) : gate.name) << " out=";
     if (gate.fanout == kNullNet) {
       os << "-";
     } else {
@@ -268,11 +268,11 @@ void write_verilog(const Netlist& netlist, std::ostream& os) {
                 "write_verilog requires a finalized netlist");
   const auto net_name = [&](NetId n) {
     const std::string& s = netlist.net(n).name;
-    return s.empty() ? "n" + std::to_string(n) : s;
+    return s.empty() ? 'n' + std::to_string(n) : s;
   };
   const auto gate_name = [&](GateId g) {
     const std::string& s = netlist.gate(g).name;
-    return s.empty() ? "g" + std::to_string(g) : s;
+    return s.empty() ? 'g' + std::to_string(g) : s;
   };
 
   os << "module " << (netlist.name().empty() ? "top" : netlist.name()) << " (";

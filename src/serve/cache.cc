@@ -13,7 +13,7 @@ std::string DiagnosisCache::make_key(std::int32_t design_id,
          failure_log_to_string(log);
 }
 
-std::shared_ptr<const CachedDiagnosis> DiagnosisCache::lookup(
+std::shared_ptr<const DiagnosisPrefix> DiagnosisCache::lookup(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
@@ -32,7 +32,7 @@ std::shared_ptr<const CachedDiagnosis> DiagnosisCache::lookup(
   return it->second->second;
 }
 
-std::shared_ptr<const CachedDiagnosis> DiagnosisCache::peek(
+std::shared_ptr<const DiagnosisPrefix> DiagnosisCache::peek(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
@@ -42,7 +42,7 @@ std::shared_ptr<const CachedDiagnosis> DiagnosisCache::peek(
 }
 
 void DiagnosisCache::insert(const std::string& key,
-                            std::shared_ptr<const CachedDiagnosis> value) {
+                            std::shared_ptr<const DiagnosisPrefix> value) {
   if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);

@@ -1,4 +1,5 @@
-// LRU cache for the deterministic per-log prefix of diagnosis.
+// LRU cache for the deterministic per-log prefix of diagnosis
+// (DiagnosisPrefix, core/pipeline.h).
 //
 // Two failure logs with identical content (same design, same failing
 // pattern set, same failing bits) back-trace to the same candidate set,
@@ -23,25 +24,11 @@
 #include <unordered_map>
 #include <utility>
 
-#include "diag/atpg_diagnosis.h"
+#include "core/pipeline.h"
 #include "diag/failure_log.h"
-#include "gnn/csr.h"
-#include "graph/backtrace.h"
-#include "graph/subgraph.h"
 #include "serve/metrics.h"
 
 namespace m3dfl::serve {
-
-// The cached, reusable prefix of one log's diagnosis.
-struct CachedDiagnosis {
-  // Full back-trace outcome: candidates plus support fractions, quarantined
-  // responses, and the relaxation flag — the evidence-quality inputs of the
-  // calibrated confidence (a pure function of (design, log), so cacheable).
-  BacktraceResult backtrace;
-  Subgraph subgraph;             // back-traced candidate subgraph + features
-  NormalizedAdjacency adjacency; // its normalized adjacency (Eq. 1 input)
-  DiagnosisReport base_report;   // ATPG report before GNN refinement
-};
 
 class DiagnosisCache {
  public:
@@ -53,14 +40,14 @@ class DiagnosisCache {
   static std::string make_key(std::int32_t design_id, const FailureLog& log);
 
   // Returns the entry (marking it most recently used) or nullptr.
-  std::shared_ptr<const CachedDiagnosis> lookup(const std::string& key);
+  std::shared_ptr<const DiagnosisPrefix> lookup(const std::string& key);
   // lookup() without hit/miss accounting: the single-flight re-check in the
   // service must not double-count a request it already counted.
-  std::shared_ptr<const CachedDiagnosis> peek(const std::string& key);
+  std::shared_ptr<const DiagnosisPrefix> peek(const std::string& key);
   // Inserts (or refreshes) an entry, evicting the least recently used ones
   // beyond capacity.
   void insert(const std::string& key,
-              std::shared_ptr<const CachedDiagnosis> value);
+              std::shared_ptr<const DiagnosisPrefix> value);
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
@@ -70,7 +57,7 @@ class DiagnosisCache {
 
  private:
   using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const CachedDiagnosis>>>;
+      std::list<std::pair<std::string, std::shared_ptr<const DiagnosisPrefix>>>;
 
   const std::size_t capacity_;
   Metrics* const metrics_;

@@ -256,7 +256,7 @@ std::string FleetService::report() const {
       std::lock_guard<std::mutex> lock(tenant.mu);
       model = tenant.options.model;
       if (tenant.options.version != registry::ModelRegistry::kLatest) {
-        model += "@" + std::to_string(tenant.options.version);
+        model += '@' + std::to_string(tenant.options.version);
       }
       if (tenant.epoch != nullptr) {
         generation = tenant.epoch->model->generation;

@@ -484,7 +484,7 @@ StatusCode DiagnosisService::attempt_once(Request& request,
                                           std::string& message,
                                           bool& breaker_exempt) {
   FaultInjector* injector = options_.fault_injector.get();
-  std::shared_ptr<const CachedDiagnosis> entry;
+  std::shared_ptr<const DiagnosisPrefix> entry;
   // A retry starts from a clean slate: the previous attempt may have left a
   // partially refined report or a half-filled prediction behind.
   result.degraded = false;
@@ -502,8 +502,8 @@ StatusCode DiagnosisService::attempt_once(Request& request,
       return StatusCode::kDeadlineExceeded;
     }
 
-    // Cached deterministic prefix: back-trace -> subgraph -> features ->
-    // normalized adjacency -> ATPG base report.
+    // Cached deterministic prefix (core/pipeline.h): back-trace ->
+    // subgraph -> normalized adjacency, then the ATPG base report.
     const std::string key =
         DiagnosisCache::make_key(request.design_id, request.log);
     if (injector != nullptr) {
@@ -515,8 +515,8 @@ StatusCode DiagnosisService::attempt_once(Request& request,
     if (entry == nullptr) {
       // Single-flight: either become the leader for this key or wait on a
       // worker that is already computing it.
-      std::promise<std::shared_ptr<const CachedDiagnosis>> flight;
-      std::shared_future<std::shared_ptr<const CachedDiagnosis>> follow;
+      std::promise<std::shared_ptr<const DiagnosisPrefix>> flight;
+      std::shared_future<std::shared_ptr<const DiagnosisPrefix>> follow;
       bool leader = false;
       {
         std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -540,24 +540,16 @@ StatusCode DiagnosisService::attempt_once(Request& request,
         // promise.
         std::exception_ptr flight_error;
         try {
-          auto fresh = std::make_shared<CachedDiagnosis>();
+          auto fresh = std::make_shared<DiagnosisPrefix>();
           if (!degraded_) {
             if (deadline_passed(request.deadline)) {
               throw DeadlineError("deadline exceeded before back-trace");
             }
             const Clock::time_point t_bt = Clock::now();
             // A streaming finalize arrives with the back-trace the session
-            // maintained incrementally (byte-identical to recomputing, by
-            // StreamingBacktrace's construction); reuse it.
-            if (request.precomputed_backtrace != nullptr) {
-              fresh->backtrace = *request.precomputed_backtrace;
-            } else {
-              fresh->backtrace =
-                  backtrace_with_support(design.graph(), ctx, request.log);
-            }
-            fresh->subgraph =
-                extract_subgraph(design.graph(), fresh->backtrace.candidates);
-            fresh->adjacency = subgraph_adjacency(fresh->subgraph);
+            // maintained incrementally; reuse it.
+            *fresh = backtrace_prefix(design, request.log,
+                                      request.precomputed_backtrace.get());
             metrics_->backtrace.record(seconds_since(t_bt));
           }
 
@@ -630,17 +622,17 @@ StatusCode DiagnosisService::attempt_once(Request& request,
       return StatusCode::kDeadlineExceeded;
     }
 
-    // Per-request scratch only from here on: the report is a copy of the
-    // cached base report, the models are shared read-only.
+    // Per-request scratch only from here on: the suffix refines its own
+    // copy of the cached base report, the models are shared read-only.
     const Clock::time_point t_inf = Clock::now();
     if (injector != nullptr) {
       maybe_throw(*injector, Seam::kModelPredict, "injected model fault");
     }
-    result.report = entry->base_report;
-    result.pruned = framework_->diagnose(ctx, entry->subgraph, entry->adjacency,
-                                        result.report, &result.prediction);
-    result.confidence =
-        framework_->diagnosis_confidence(entry->backtrace, &result.prediction);
+    RefinedDiagnosis refined = framework_->diagnose(ctx, *entry);
+    result.report = std::move(refined.report);
+    result.prediction = std::move(refined.prediction);
+    result.pruned = std::move(refined.pruned);
+    result.confidence = refined.confidence;
     metrics_->inference.record(seconds_since(t_inf));
     return StatusCode::kOk;
   } catch (const ModelUnavailableError& e) {
@@ -681,6 +673,28 @@ StatusCode DiagnosisService::attempt_once(Request& request,
   }
 }
 
+void write_verdict(std::ostream& os, const FrameworkPrediction* prediction,
+                   const DiagnosisConfidence& confidence) {
+  if (prediction == nullptr) {
+    os << "GNN verdict: unavailable (degraded: unpruned ATPG-only ranking)\n";
+  } else {
+    os << "GNN verdict: tier " << prediction->tier << " (confidence "
+       << prediction->confidence << ", "
+       << (prediction->high_confidence ? "high" : "low")
+       << "), MIVs flagged: " << prediction->faulty_mivs.size() << ", "
+       << (prediction->pruned ? "pruned" : "reordered") << "\n";
+    os << "calibrated confidence: " << confidence.combined << " (support "
+       << confidence.backtrace_support << ", margin "
+       << confidence.model_margin << ", "
+       << (confidence.low_confidence ? "LOW" : "ok") << ")\n";
+  }
+  if (confidence.noisy_log) {
+    os << "noisy log: " << confidence.quarantined
+       << " response(s) quarantined"
+       << (confidence.relaxed ? ", relaxed intersection" : "") << "\n";
+  }
+}
+
 std::string result_to_string(const Netlist& netlist,
                              const DiagnosisResult& result) {
   std::ostringstream os;
@@ -690,24 +704,8 @@ std::string result_to_string(const Netlist& netlist,
        << result.status_message << ")\n";
     return os.str();
   }
-  if (result.degraded) {
-    os << "GNN verdict: unavailable (degraded: unpruned ATPG-only ranking)\n";
-  } else {
-    os << "GNN verdict: tier " << result.prediction.tier << " (confidence "
-       << result.prediction.confidence << ", "
-       << (result.prediction.high_confidence ? "high" : "low")
-       << "), MIVs flagged: " << result.prediction.faulty_mivs.size() << ", "
-       << (result.prediction.pruned ? "pruned" : "reordered") << "\n";
-    os << "calibrated confidence: " << result.confidence.combined
-       << " (support " << result.confidence.backtrace_support << ", margin "
-       << result.confidence.model_margin << ", "
-       << (result.confidence.low_confidence ? "LOW" : "ok") << ")\n";
-  }
-  if (result.confidence.noisy_log) {
-    os << "noisy log: " << result.confidence.quarantined
-       << " response(s) quarantined"
-       << (result.confidence.relaxed ? ", relaxed intersection" : "") << "\n";
-  }
+  write_verdict(os, result.degraded ? nullptr : &result.prediction,
+                result.confidence);
   os << report_to_string(netlist, result.report);
   return os.str();
 }

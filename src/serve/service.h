@@ -314,7 +314,7 @@ class DiagnosisService {
   // on the same key waits on the leader's future instead of recomputing.
   std::mutex inflight_mu_;
   std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const CachedDiagnosis>>>
+                     std::shared_future<std::shared_ptr<const DiagnosisPrefix>>>
       inflight_;
 
   // start_paused gate.
@@ -341,9 +341,15 @@ class DiagnosisService {
 // message (the service maps it to kInvalidInput).
 std::string validate_failure_log(const Design& design, const FailureLog& log);
 
-// Renders a result the way `m3dfl_tool diagnose` prints one: the GNN
-// verdict line plus the refined candidate report; failed requests render
-// their status instead, degraded requests an ATPG-only marker.
+// The verdict lines that result_to_string and `m3dfl_tool diagnose` print:
+// GNN verdict and calibrated confidence (a null `prediction`: the degraded
+// marker), then a noisy-log line when responses were quarantined.
+void write_verdict(std::ostream& os, const FrameworkPrediction* prediction,
+                   const DiagnosisConfidence& confidence);
+
+// Renders a result the way `m3dfl_tool diagnose` prints one: the verdict
+// lines (write_verdict) plus the refined candidate report; failed requests
+// render their status instead, degraded requests an ATPG-only marker.
 // Deterministic (timings and cache state are excluded), so byte-comparing
 // rendered results is how the tests pin concurrent == serial behaviour.
 std::string result_to_string(const Netlist& netlist,

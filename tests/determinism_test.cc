@@ -89,8 +89,9 @@ TEST(DeterminismTest, TrainingIsReproducible) {
   const TierPredictor a = train_once();
   const TierPredictor b = train_once();
   for (const Subgraph& g : data.graphs) {
-    const auto pa = a.predict(g);
-    const auto pb = b.predict(g);
+    const NormalizedAdjacency adj = subgraph_adjacency(g);
+    const auto pa = a.predict(g, adj);
+    const auto pb = b.predict(g, adj);
     EXPECT_EQ(pa[0], pb[0]);
     EXPECT_EQ(pa[1], pb[1]);
   }

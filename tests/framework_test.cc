@@ -81,7 +81,8 @@ TEST_F(FrameworkTest, TrainedStateAndThreshold) {
 
 TEST_F(FrameworkTest, PredictionsAreWellFormed) {
   for (std::size_t i = 0; i < 10 && i < data_->size(); ++i) {
-    const FrameworkPrediction p = framework_->predict(data_->graphs[i]);
+    const Subgraph& g = data_->graphs[i];
+    const FrameworkPrediction p = framework_->predict(g, subgraph_adjacency(g));
     EXPECT_TRUE(p.tier == 0 || p.tier == 1);
     EXPECT_GE(p.confidence, 0.5);
     EXPECT_LE(p.confidence, 1.0);
@@ -230,9 +231,45 @@ TEST_F(FrameworkTest, PruningEverythingRestoresReport) {
   EXPECT_EQ(report.resolution(), 1);
 }
 
+// The chain's GNN suffix is exactly predict -> refine a copy of the base
+// report -> calibrated confidence, and leaves the prefix untouched.
+TEST_F(FrameworkTest, DiagnoseComposesPredictRefineConfidence) {
+  const DesignContext ctx = design_->context();
+  for (std::size_t i = 0; i < 6 && i < data_->size(); ++i) {
+    const FailureLog& log = data_->samples[i].log;
+    DiagnosisPrefix prefix = backtrace_prefix(*design_, log);
+    prefix.base_report = diagnose_atpg(ctx, log);
+    const DiagnosisReport base = prefix.base_report;
+
+    const RefinedDiagnosis got = framework_->diagnose(ctx, prefix);
+
+    FrameworkPrediction prediction =
+        framework_->predict(prefix.subgraph, prefix.adjacency);
+    DiagnosisReport report = base;
+    const std::vector<Candidate> pruned =
+        framework_->refine_report(ctx, prediction, report);
+    prediction.pruned = !pruned.empty();
+    const DiagnosisConfidence confidence =
+        framework_->diagnosis_confidence(prefix.backtrace, &prediction);
+
+    EXPECT_EQ(report_to_string(design_->netlist(), got.report),
+              report_to_string(design_->netlist(), report));
+    EXPECT_EQ(got.pruned.size(), pruned.size());
+    EXPECT_EQ(got.prediction.tier, prediction.tier);
+    EXPECT_EQ(got.prediction.pruned, prediction.pruned);
+    EXPECT_EQ(got.prediction.faulty_mivs, prediction.faulty_mivs);
+    EXPECT_DOUBLE_EQ(got.prediction.confidence, prediction.confidence);
+    EXPECT_DOUBLE_EQ(got.confidence.combined, confidence.combined);
+    EXPECT_EQ(got.confidence.low_confidence, confidence.low_confidence);
+    EXPECT_EQ(report_to_string(design_->netlist(), prefix.base_report),
+              report_to_string(design_->netlist(), base));
+  }
+}
+
 TEST_F(FrameworkTest, UntrainedPredictThrows) {
   DiagnosisFramework fresh;
-  EXPECT_THROW(fresh.predict(Subgraph{}), Error);
+  EXPECT_THROW(fresh.predict(Subgraph{}, subgraph_adjacency(Subgraph{})),
+               Error);
 }
 
 }  // namespace

@@ -200,7 +200,7 @@ TEST(TierPredictorTest, LearnsSeparableToyTask) {
 
 TEST(TierPredictorTest, EmptyGraphIsUniform) {
   TierPredictor model;
-  const auto p = model.predict(Subgraph{});
+  const auto p = model.predict(Subgraph{}, subgraph_adjacency(Subgraph{}));
   EXPECT_DOUBLE_EQ(p[0], 0.5);
   EXPECT_DOUBLE_EQ(p[1], 0.5);
 }
@@ -210,8 +210,9 @@ TEST(TierPredictorTest, ConfidenceIsMaxProbability) {
   TierPredictor model;
   const Subgraph sg = synthetic_graph(rng, 1);
   double confidence = 0.0;
-  const int tier = model.predicted_tier(sg, &confidence);
-  const auto p = model.predict(sg);
+  const NormalizedAdjacency adj = subgraph_adjacency(sg);
+  const int tier = model.predicted_tier(sg, adj, &confidence);
+  const auto p = model.predict(sg, adj);
   EXPECT_DOUBLE_EQ(confidence, std::max(p[0], p[1]));
   EXPECT_EQ(tier, p[1] > p[0] ? 1 : 0);
 }
@@ -249,7 +250,8 @@ TEST(MivPinpointerTest, LearnsNodeLabels) {
 
   // predict_faulty surfaces the planted MIV id.
   const Subgraph positive = make(true);
-  const auto faulty = model.predict_faulty(positive);
+  const auto faulty =
+      model.predict_faulty(positive, subgraph_adjacency(positive));
   ASSERT_FALSE(faulty.empty());
   EXPECT_EQ(faulty[0], 0);
 }
@@ -276,7 +278,7 @@ TEST(PruneClassifierTest, TransfersAndLearnsHead) {
   int correct = 0;
   for (int i = 0; i < 30; ++i) {
     const Subgraph sg = synthetic_graph(rng, i % 2);
-    const double p = classifier.predict_prune_prob(sg);
+    const double p = classifier.predict_prune_prob(sg, subgraph_adjacency(sg));
     if ((p >= 0.5) == (i % 2 == 1)) ++correct;
   }
   EXPECT_GT(correct, 24);

@@ -46,13 +46,28 @@ TEST_F(PipelineTest, SubgraphContainsFaultSite) {
   }
 }
 
-TEST_F(PipelineTest, SubgraphForLogMatchesDatasetPath) {
+TEST_F(PipelineTest, BacktracePrefixMatchesDatasetPath) {
   DataGenOptions opt;
   opt.num_samples = 3;
   opt.seed = 7;
   const LabeledDataset data = build_dataset(*design_, opt);
-  const Subgraph sg = subgraph_for_log(*design_, data.samples[0].log);
-  EXPECT_EQ(sg.nodes, data.graphs[0].nodes);
+  const FailureLog& log = data.samples[0].log;
+  const DiagnosisPrefix prefix = backtrace_prefix(*design_, log);
+  EXPECT_EQ(prefix.subgraph.nodes, data.graphs[0].nodes);
+  EXPECT_EQ(prefix.backtrace.candidates, prefix.subgraph.nodes);
+  EXPECT_EQ(prefix.adjacency.num_nodes(), prefix.subgraph.num_nodes());
+  EXPECT_EQ(prefix.adjacency.num_entries(),
+            subgraph_adjacency(prefix.subgraph).num_entries());
+  EXPECT_TRUE(prefix.base_report.candidates.empty());
+
+  // A streamed back-trace passed in replaces the batch one.
+  BacktraceResult streamed = prefix.backtrace;
+  streamed.candidates.resize(1);
+  streamed.support.resize(1);
+  const DiagnosisPrefix from_stream =
+      backtrace_prefix(*design_, log, &streamed);
+  EXPECT_EQ(from_stream.backtrace.candidates, streamed.candidates);
+  EXPECT_EQ(from_stream.subgraph.nodes, streamed.candidates);
 }
 
 TEST_F(PipelineTest, AppendConcatenatesDatasets) {

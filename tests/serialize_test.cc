@@ -74,8 +74,9 @@ TEST(SerializeTest, TierPredictorRoundTripPreservesPredictions) {
   const TierPredictor restored =
       tier_predictor_from_string(tier_predictor_to_string(model));
   for (const Subgraph& g : train) {
-    const auto a = model.predict(g);
-    const auto b = restored.predict(g);
+    const NormalizedAdjacency adj = subgraph_adjacency(g);
+    const auto a = model.predict(g, adj);
+    const auto b = restored.predict(g, adj);
     EXPECT_DOUBLE_EQ(a[0], b[0]);
     EXPECT_DOUBLE_EQ(a[1], b[1]);
   }
@@ -94,8 +95,9 @@ TEST(SerializeTest, MivPinpointerRoundTrip) {
   save_model(ss, model);
   const MivPinpointer restored = load_miv_pinpointer(ss);
   for (const Subgraph& g : train) {
-    const auto a = model.predict(g);
-    const auto b = restored.predict(g);
+    const NormalizedAdjacency adj = subgraph_adjacency(g);
+    const auto a = model.predict(g, adj);
+    const auto b = restored.predict(g, adj);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
   }
@@ -120,8 +122,9 @@ TEST(SerializeTest, PruneClassifierRoundTrip) {
   save_model(ss, classifier);
   const PruneClassifier restored = load_prune_classifier(ss, pretrained);
   for (const Subgraph& g : graphs) {
-    EXPECT_DOUBLE_EQ(classifier.predict_prune_prob(g),
-                     restored.predict_prune_prob(g));
+    const NormalizedAdjacency adj = subgraph_adjacency(g);
+    EXPECT_DOUBLE_EQ(classifier.predict_prune_prob(g, adj),
+                     restored.predict_prune_prob(g, adj));
   }
 }
 
@@ -142,8 +145,9 @@ TEST(SerializeTest, FrameworkRoundTripPreservesBehaviour) {
   EXPECT_TRUE(restored.trained());
   EXPECT_DOUBLE_EQ(restored.tp_threshold(), framework.tp_threshold());
   for (const Subgraph& g : train) {
-    const FrameworkPrediction a = framework.predict(g);
-    const FrameworkPrediction b = restored.predict(g);
+    const NormalizedAdjacency adj = subgraph_adjacency(g);
+    const FrameworkPrediction a = framework.predict(g, adj);
+    const FrameworkPrediction b = restored.predict(g, adj);
     EXPECT_EQ(a.tier, b.tier);
     EXPECT_DOUBLE_EQ(a.confidence, b.confidence);
     EXPECT_EQ(a.high_confidence, b.high_confidence);

@@ -84,8 +84,9 @@ DiagnosisFramework* ServeTest::framework_ = nullptr;
 std::vector<FailureLog>* ServeTest::logs_ = nullptr;
 
 // The raw serial reference path: replicates the service pipeline (ATPG
-// report, support-weighted back-trace, subgraph extraction, GNN diagnosis,
-// calibrated confidence) with no queue, cache, or worker threads.
+// report, support-weighted back-trace, subgraph extraction, GNN prediction,
+// refinement, calibrated confidence) from the layer primitives, with no
+// queue, cache, worker threads, or per-log chain (core/pipeline.h).
 serve::DiagnosisResult serial_reference(const Design& design,
                                         const DesignContext& ctx,
                                         const DiagnosisFramework& framework,
@@ -96,7 +97,9 @@ serve::DiagnosisResult serial_reference(const Design& design,
   const BacktraceResult backtrace =
       backtrace_with_support(design.graph(), ctx, log);
   const Subgraph sg = extract_subgraph(design.graph(), backtrace.candidates);
-  r.pruned = framework.diagnose(ctx, sg, r.report, &r.prediction);
+  r.prediction = framework.predict(sg, subgraph_adjacency(sg));
+  r.pruned = framework.refine_report(ctx, r.prediction, r.report);
+  r.prediction.pruned = !r.pruned.empty();
   r.confidence = framework.diagnosis_confidence(backtrace, &r.prediction);
   return r;
 }
@@ -156,7 +159,7 @@ TEST(OrderedReportSinkTest, ReleasesContiguousPrefixInOrder) {
 
 TEST(DiagnosisCacheTest, LruEvictionAndCounters) {
   serve::DiagnosisCache cache(2);
-  const auto entry = std::make_shared<serve::CachedDiagnosis>();
+  const auto entry = std::make_shared<DiagnosisPrefix>();
   EXPECT_EQ(cache.lookup("a"), nullptr);
   cache.insert("a", entry);
   cache.insert("b", entry);
@@ -195,14 +198,14 @@ TEST(DiagnosisCacheTest, EvictionNeverInvalidatesInFlightReaders) {
   std::atomic<int> mismatches{0};
   // Entries each thread still holds after eviction: (expected id, entry).
   std::vector<std::vector<
-      std::pair<int, std::shared_ptr<const serve::CachedDiagnosis>>>>
+      std::pair<int, std::shared_ptr<const DiagnosisPrefix>>>>
       held(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const int id = t * kPerThread + i;
-        auto entry = std::make_shared<serve::CachedDiagnosis>();
+        auto entry = std::make_shared<DiagnosisPrefix>();
         entry->backtrace.num_responses = id;  // identity tag
         const std::string key = "log-" + std::to_string(id);
         cache.insert(key, std::move(entry));

@@ -225,7 +225,7 @@ TEST(TrainChaosTest, NanLossRollsBackAndRecovers) {
   EXPECT_DOUBLE_EQ(trainer.lr_scale(), 0.5);
   // The rolled-back-and-retrained model must still be healthy.
   for (const Subgraph& g : graphs) {
-    const FrameworkPrediction p = framework.predict(g);
+    const FrameworkPrediction p = framework.predict(g, subgraph_adjacency(g));
     EXPECT_TRUE(std::isfinite(p.confidence));
   }
 }

@@ -57,6 +57,7 @@
 #include <future>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -603,7 +604,7 @@ int cmd_diagnose(const std::string& profile, const std::string& model_path,
   const DesignContext ctx = design->context();
   log = apply_noise(ctx, log, flags.noise);
 
-  BacktraceResult backtrace;
+  std::optional<BacktraceResult> streamed;
   if (flags.stream) {
     // Replay the log as a live feed: one record per line, trajectory after
     // each accepted response, early exit once the candidate set is stable
@@ -649,35 +650,21 @@ int cmd_diagnose(const std::string& profile, const std::string& model_path,
       std::cout << "no early exit: consumed the full feed ("
                 << stream.num_responses() << " responses)\n";
     }
-    backtrace = stream.finalize();
+    streamed = stream.finalize();
     log = stream.log();
-  } else {
-    backtrace = backtrace_with_support(design->graph(), ctx, log);
   }
 
-  DiagnosisReport report = diagnose_atpg(ctx, log);
-  std::cout << "ATPG " << report_to_string(design->netlist(), report);
+  DiagnosisPrefix prefix =
+      backtrace_prefix(*design, log, streamed ? &*streamed : nullptr);
+  prefix.base_report = diagnose_atpg(ctx, log);
+  std::cout << "ATPG "
+            << report_to_string(design->netlist(), prefix.base_report);
 
-  const Subgraph sg = extract_subgraph(design->graph(), backtrace.candidates);
-  FrameworkPrediction prediction;
-  framework.diagnose(ctx, sg, report, &prediction);
-  const DiagnosisConfidence confidence =
-      framework.diagnosis_confidence(backtrace, &prediction);
-  std::cout << "\nGNN verdict: tier " << prediction.tier << " (confidence "
-            << prediction.confidence << ", "
-            << (prediction.high_confidence ? "high" : "low")
-            << "), MIVs flagged: " << prediction.faulty_mivs.size() << ", "
-            << (prediction.pruned ? "pruned" : "reordered") << "\n";
-  std::cout << "calibrated confidence: " << confidence.combined
-            << " (support " << confidence.backtrace_support << ", margin "
-            << confidence.model_margin << ", "
-            << (confidence.low_confidence ? "LOW" : "ok") << ")\n";
-  if (confidence.noisy_log) {
-    std::cout << "noisy log: " << confidence.quarantined
-              << " response(s) quarantined"
-              << (confidence.relaxed ? ", relaxed intersection" : "") << "\n";
-  }
-  std::cout << "\nrefined " << report_to_string(design->netlist(), report);
+  const RefinedDiagnosis refined = framework.diagnose(ctx, prefix);
+  std::cout << "\n";
+  serve::write_verdict(std::cout, &refined.prediction, refined.confidence);
+  std::cout << "\nrefined "
+            << report_to_string(design->netlist(), refined.report);
   return 0;
 }
 
